@@ -116,8 +116,8 @@ usage()
         "(repeatable)\n"
         "  --no-batch           disable lockstep trial batching "
         "(same output, slower)\n"
-        "  --no-group           disable the group-stepped batching "
-        "tier (same output)\n"
+        "  --no-group           disable dead-reseed substitution "
+        "(same output)\n"
         "  --no-lockstep        disable periodic-loop forwarding in "
         "the core (same output, slower)\n"
         "  --verbose            add execution diagnostics (batching "

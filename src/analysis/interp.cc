@@ -1,7 +1,6 @@
 #include "analysis/interp.hh"
 
-#include <limits>
-
+#include "isa/semantics.hh"
 #include "util/memory_image.hh"
 
 namespace hr
@@ -9,46 +8,18 @@ namespace hr
 namespace
 {
 
+/** A source register's value; an absent operand reads 0. */
 std::int64_t
-aluOf(Opcode op, std::int64_t v0, std::int64_t rhs)
+operand(const std::vector<std::int64_t> &regs, RegId reg)
 {
-    const auto u0 = static_cast<std::uint64_t>(v0);
-    const auto u1 = static_cast<std::uint64_t>(rhs);
-    switch (op) {
-      case Opcode::MovImm: return rhs;
-      case Opcode::Add: return static_cast<std::int64_t>(u0 + u1);
-      case Opcode::Sub: return static_cast<std::int64_t>(u0 - u1);
-      case Opcode::Mul: return static_cast<std::int64_t>(u0 * u1);
-      case Opcode::Div:
-        if (rhs == 0)
-            return 0;
-        if (v0 == std::numeric_limits<std::int64_t>::min() && rhs == -1)
-            return v0;
-        return v0 / rhs;
-      case Opcode::And: return v0 & rhs;
-      case Opcode::Or: return v0 | rhs;
-      case Opcode::Xor: return v0 ^ rhs;
-      case Opcode::Shl:
-        return static_cast<std::int64_t>(u0 << (u1 & 63));
-      case Opcode::Shr:
-        return static_cast<std::int64_t>(u0 >> (u1 & 63));
-      default: return 0;
-    }
+    return reg != kNoReg ? regs[reg] : 0;
 }
 
 Addr
 eaOf(const Instruction &inst, const std::vector<std::int64_t> &regs)
 {
-    std::uint64_t ea = static_cast<std::uint64_t>(inst.imm);
-    if (inst.src0 != kNoReg)
-        ea += static_cast<std::uint64_t>(regs[inst.src0]) *
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(inst.scale0));
-    if (inst.src1 != kNoReg)
-        ea += static_cast<std::uint64_t>(regs[inst.src1]) *
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(inst.scale1));
-    return static_cast<Addr>(ea);
+    return effectiveAddress(inst, operand(regs, inst.src0),
+                            operand(regs, inst.src1));
 }
 
 std::int64_t
@@ -118,12 +89,11 @@ transientWalk(const DecodedProgram &program, std::int32_t start,
           case Opcode::Branch:
             break;
           default: {
-            const std::int64_t v0 =
-                inst.src0 != kNoReg ? regs[inst.src0] : 0;
             const std::int64_t rhs = inst.src1 != kNoReg
                                          ? regs[inst.src1]
                                          : inst.imm;
-            regs[inst.dst] = aluOf(inst.op, v0, rhs);
+            regs[inst.dst] =
+                aluResult(inst.op, operand(regs, inst.src0), rhs);
             break;
           }
         }
@@ -223,12 +193,11 @@ interpretProgram(const DecodedProgram &program,
                 static_cast<std::int64_t>(eaOf(inst, regs));
             break;
           default: {
-            const std::int64_t v0 =
-                inst.src0 != kNoReg ? regs[inst.src0] : 0;
             const std::int64_t rhs = inst.src1 != kNoReg
                                          ? regs[inst.src1]
                                          : inst.imm;
-            regs[inst.dst] = aluOf(inst.op, v0, rhs);
+            regs[inst.dst] =
+                aluResult(inst.op, operand(regs, inst.src0), rhs);
             break;
           }
         }

@@ -9,9 +9,9 @@
  * a pure function of the code, the initial registers, and the initial
  * memory words, so a few thousand ISA steps recover it in
  * microseconds where the simulator spends milliseconds per trial.
- * Semantics mirror OooCore::computeAlu / computeEa exactly (wrapping
- * uint64 arithmetic, shift masking, the Div edge cases, word-granular
- * memory reading zero when unwritten).
+ * ALU results and effective addresses come from isa/semantics.hh, the
+ * same definitions the core executes; memory is word-granular and
+ * reads zero when unwritten.
  *
  * Beyond architectural state, the interpreter models the speculative
  * window: at every executed branch it walks the NOT-taken path for up

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
+#include "isa/semantics.hh"
 #include "util/memory_image.hh"
 
 namespace hr
@@ -128,9 +128,7 @@ abstractEa(const Instruction &inst, const State &state)
             out.known = false;
             continue;
         }
-        ea += static_cast<std::uint64_t>(v.value) *
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(scales[i]));
+        ea += eaTerm(v.value, scales[i]);
     }
     out.ea = static_cast<Addr>(ea);
     return out;
@@ -404,8 +402,7 @@ class Fixpoint
                 out.tainted = ea.tainted;
             } else if (v0.known && rhs.known) {
                 out.known = true;
-                out.value = concreteAlu(inst.op, v0.value, rhs.value,
-                                        inst.imm);
+                out.value = aluResult(inst.op, v0.value, rhs.value);
             }
             writeDst(out);
             break;
@@ -475,35 +472,6 @@ class Fixpoint
         }
         out.tainted |= ea.tainted;
         return out;
-    }
-
-    static std::int64_t
-    concreteAlu(Opcode op, std::int64_t v0, std::int64_t rhs,
-                std::int64_t /*imm*/)
-    {
-        const auto u0 = static_cast<std::uint64_t>(v0);
-        const auto u1 = static_cast<std::uint64_t>(rhs);
-        switch (op) {
-          case Opcode::MovImm: return rhs;
-          case Opcode::Add: return static_cast<std::int64_t>(u0 + u1);
-          case Opcode::Sub: return static_cast<std::int64_t>(u0 - u1);
-          case Opcode::Mul: return static_cast<std::int64_t>(u0 * u1);
-          case Opcode::Div:
-            if (rhs == 0)
-                return 0;
-            if (v0 == std::numeric_limits<std::int64_t>::min() &&
-                rhs == -1)
-                return v0;
-            return v0 / rhs;
-          case Opcode::And: return v0 & rhs;
-          case Opcode::Or: return v0 | rhs;
-          case Opcode::Xor: return v0 ^ rhs;
-          case Opcode::Shl:
-            return static_cast<std::int64_t>(u0 << (u1 & 63));
-          case Opcode::Shr:
-            return static_cast<std::int64_t>(u0 >> (u1 & 63));
-          default: return 0;
-        }
     }
 
     const DecodedProgram &program_;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exp/batch.hh"
 #include "gadgets/gadget_registry.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/machine.hh"
 #include "sim/noise.hh"
 #include "util/log.hh"
 
@@ -273,27 +273,6 @@ Channel::measureSymbols(Machine &machine,
     met.channelSymbolErrors.add(
         static_cast<std::uint64_t>(stats.symbolErrors));
     return stats;
-}
-
-std::vector<ChannelStats>
-Channel::runBatched(BatchRunner &batch,
-                    const std::vector<std::vector<bool>> &payloads)
-{
-    std::vector<ChannelStats> results(payloads.size());
-    batch.forEach(payloads.size(),
-                  [&](Machine &machine, std::size_t i) {
-                      results[i] = run(machine, payloads[i]);
-                  });
-    return results;
-}
-
-std::vector<ChannelStats>
-Channel::runBatched(MachinePool &pool,
-                    const std::vector<std::vector<bool>> &payloads)
-{
-    BatchRunner batch(pool,
-                      [this](Machine &machine) { prepare(machine); });
-    return runBatched(batch, payloads);
 }
 
 } // namespace hr

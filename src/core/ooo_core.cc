@@ -1,9 +1,9 @@
 #include "core/ooo_core.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/lockstep.hh"
+#include "isa/semantics.hh"
 #include "util/log.hh"
 
 namespace hr
@@ -178,58 +178,25 @@ std::int64_t
 OooCore::computeAlu(const RobEntry &entry) const
 {
     const Instruction &inst = *entry.inst;
-    const std::int64_t v0 = entry.srcVal[0];
-    const std::int64_t rhs =
-        inst.src1 != kNoReg ? entry.srcVal[1] : inst.imm;
-    // Register arithmetic wraps (two's complement), like the hardware
-    // it models: compute in uint64 so the wraparound is well-defined
-    // (gadget op chains overflow constantly by design).
-    const auto u0 = static_cast<std::uint64_t>(v0);
-    const auto u1 = static_cast<std::uint64_t>(rhs);
     switch (inst.op) {
-      case Opcode::MovImm: return inst.imm;
-      case Opcode::Add: return static_cast<std::int64_t>(u0 + u1);
-      case Opcode::Sub: return static_cast<std::int64_t>(u0 - u1);
-      case Opcode::Mul: return static_cast<std::int64_t>(u0 * u1);
-      case Opcode::Div:
-        if (rhs == 0)
-            return 0;
-        if (v0 == std::numeric_limits<std::int64_t>::min() && rhs == -1)
-            return v0; // the one remaining overflow case wraps too
-        return v0 / rhs;
-      case Opcode::And: return v0 & rhs;
-      case Opcode::Or: return v0 | rhs;
-      case Opcode::Xor: return v0 ^ rhs;
-      case Opcode::Shl:
-        return static_cast<std::int64_t>(u0 << (rhs & 63));
-      case Opcode::Shr:
-        return static_cast<std::int64_t>(u0 >> (rhs & 63));
       case Opcode::Lea:
         return static_cast<std::int64_t>(computeEa(entry));
       case Opcode::Branch:
-        return ((v0 != 0) != inst.invert) ? 1 : 0;
+        return ((entry.srcVal[0] != 0) != inst.invert) ? 1 : 0;
       case Opcode::Rdtsc:
         return static_cast<std::int64_t>(cycle_);
       default:
-        return 0;
+        return aluResult(inst.op, entry.srcVal[0],
+                         inst.src1 != kNoReg ? entry.srcVal[1]
+                                             : inst.imm);
     }
 }
 
 Addr
 OooCore::computeEa(const RobEntry &entry) const
 {
-    // Address arithmetic wraps modulo 2^64 (uint64), like computeAlu.
-    const Instruction &inst = *entry.inst;
-    std::uint64_t ea = static_cast<std::uint64_t>(inst.imm);
-    if (inst.src0 != kNoReg)
-        ea += static_cast<std::uint64_t>(entry.srcVal[0]) *
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(inst.scale0));
-    if (inst.src1 != kNoReg)
-        ea += static_cast<std::uint64_t>(entry.srcVal[1]) *
-              static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(inst.scale1));
-    return static_cast<Addr>(ea);
+    return effectiveAddress(*entry.inst, entry.srcVal[0],
+                            entry.srcVal[1]);
 }
 
 void

@@ -40,16 +40,31 @@ BatchRunner::BatchRunner(MachinePool &pool, Setup setup, Options options)
     base_ = lease_.machine().snapshot();
 }
 
+namespace
+{
+
+bool
+reseeds(const TrialTrace &trace)
+{
+    return std::any_of(trace.ops.begin(), trace.ops.end(),
+                       [](const TraceOp &op) {
+                           return op.kind == TraceOp::Kind::Reseed;
+                       });
+}
+
+} // namespace
+
 void
 BatchRunner::forEach(std::size_t count, const TrialFn &fn)
 {
     // Tier tallies also feed the global metrics registry directly, so
-    // every runner — including Channel::runBatched's private one,
-    // whose Stats object is otherwise dropped — shows up in the
-    // unified snapshot.
+    // every runner shows up in the unified snapshot, including the
+    // ones whose Stats object the caller drops.
     Metrics &met = metrics();
     Machine &m = lease_.machine();
     const std::size_t width = static_cast<std::size_t>(options_.width);
+    Machine::ReplayTolerance tolerance;
+    tolerance.substituteDeadReseeds = options_.group;
     std::size_t start = 0;
     while (start < count) {
         const std::size_t end = std::min(count, start + width);
@@ -70,75 +85,53 @@ BatchRunner::forEach(std::size_t count, const TrialFn &fn)
         met.batchLeaders.add();
         met.batchTrials.add();
 
-        if (trace.opaque) {
-            // The leader snapshotted/restored or changed backgrounds;
-            // the trace can't stand in for execution, so followers run
-            // the plain scalar loop.
-            HR_TRACE_INSTANT1("batch", "batch.opaque_fallback",
+        // Followers the trace cannot stand in for run the plain scalar
+        // loop (see the file comment for the two shapes).
+        const bool scalar =
+            trace.opaque || (trace.rngDraws != 0 && reseeds(trace));
+        if (scalar) {
+            HR_TRACE_INSTANT1("batch", "batch.scalar_fallback",
                               "followers", end - (start + 1));
-            for (std::size_t i = start + 1; i < end; ++i) {
+        }
+        for (std::size_t i = start + 1; i < end; ++i) {
+            if (scalar) {
                 m.restore(base_);
                 fn(m, i);
                 ++stats_.scalar;
-                ++stats_.trials;
                 met.batchFollowersScalar.add();
-                met.batchTrials.add();
-            }
-        } else if (options_.group) {
-            // Group-stepped tier: lanes march down the leader's
-            // skeleton; the group picks substituted/strict replay or
-            // guided real execution per trace shape and peels truly
-            // divergent lanes to scalar (see sim/machine_group.hh).
-            group_.adopt(&trace, &base_);
-            for (std::size_t i = start + 1; i < end; ++i) {
-                const MachineGroup::Outcome outcome = group_.step(
-                    m, dirty_, [&](Machine &lane) { fn(lane, i); });
-                switch (outcome) {
-                  case MachineGroup::Outcome::Replayed:
-                    ++stats_.replayed;
-                    met.batchFollowersReplayed.add();
-                    break;
-                  case MachineGroup::Outcome::Stepped:
-                    ++stats_.groupStepped;
-                    met.batchFollowersStepped.add();
-                    break;
-                  case MachineGroup::Outcome::Peeled:
+            } else {
+                // Replay, falling back to scalar on divergence. Clean
+                // replays never touch machine state, so they need no
+                // restore: the machine stays at the leader's (or last
+                // diverged follower's) end state.
+                m.beginReplay(trace, base_, tolerance);
+                fn(m, i);
+                const bool clean = m.endReplay();
+                const std::size_t subs = m.replaySubstitutions();
+                if (!clean) {
                     ++stats_.diverged;
                     met.batchFollowersPeeled.add();
                     HR_TRACE_INSTANT1("batch", "batch.peel_off",
                                       "trial", i);
-                    break;
-                  case MachineGroup::Outcome::Scalar:
-                    ++stats_.scalar;
-                    met.batchFollowersScalar.add();
-                    break;
-                }
-                ++stats_.trials;
-                met.batchTrials.add();
-            }
-            // The trace dies with this loop iteration; detach so the
-            // group never holds a dangling skeleton.
-            group_.adopt(nullptr, nullptr);
-        } else {
-            // Followers: replay, falling back to scalar on divergence.
-            // Clean replays never touch machine state, so they need no
-            // restore — the machine simply stays at the leader's (or
-            // last diverged follower's) end state.
-            for (std::size_t i = start + 1; i < end; ++i) {
-                m.beginReplay(trace, base_);
-                fn(m, i);
-                if (m.endReplay()) {
+                    if (options_.group) {
+                        met.groupLanesPeeled.add();
+                        HR_TRACE_INSTANT1("group", "group.lane_peeled",
+                                          "matched", m.replayMatched());
+                    }
+                } else if (subs == 0) {
                     ++stats_.replayed;
                     met.batchFollowersReplayed.add();
                 } else {
-                    ++stats_.diverged;
-                    met.batchFollowersPeeled.add();
-                    HR_TRACE_INSTANT1("batch", "batch.peel_off",
-                                      "trial", i);
+                    ++stats_.groupStepped;
+                    met.batchFollowersStepped.add();
+                    met.groupReseedsSubstituted.add(subs);
+                    HR_TRACE_INSTANT2("group", "group.lane_stepped",
+                                      "matched", m.replayMatched(),
+                                      "subs", subs);
                 }
-                ++stats_.trials;
-                met.batchTrials.add();
             }
+            ++stats_.trials;
+            met.batchTrials.add();
         }
         start = end;
     }

@@ -27,27 +27,31 @@
  * No prefix work is wasted (replayed ops were never simulated), so a
  * fully divergent batch costs the same as the scalar path.
  *
- * Leaders that snapshot/restore or mutate backgrounds mark the trace
- * opaque; followers of an opaque trace run scalar (restore + execute)
- * and remain byte-identical.
+ * Two trace shapes cannot stand in for execution, and their followers
+ * run scalar (restore + execute) instead: an *opaque* trace (the
+ * leader used snapshot/restore or changed backgrounds), and a trace
+ * whose results depend on the noise seeds (TrialTrace::rngDraws > 0)
+ * while containing reseeds — a follower reseeding with its own mix
+ * would diverge at its first reseed, and substituting the leader's
+ * mix is unsound there.
  *
  * Restores are elided wherever possible: a clean replay never touches
  * machine state, so only the trial *after* a leader or a diverged
  * follower pays a restore. That elision — not the replay itself — is
  * what pushes the batched trial path past 10x.
  *
- * Between verbatim replay and the scalar last resort sits the
- * group-stepped tier (Options::group, on by default): followers a
- * strict replay cannot serve — per-trial reseeds, noise-dependent
- * traces — are marched down the leader's op skeleton by a
- * MachineGroup, which picks dead-reseed substituted replay or guided
- * real execution per group and peels truly divergent lanes off to
- * scalar mid-group (see sim/machine_group.hh). The full decision
- * ladder per follower is: verbatim replay → group step → scalar.
+ * Dead-reseed substitution (Options::group, on by default) widens what
+ * a replay matches: decorrelation scenarios reseed the noise streams
+ * with a per-trial mix before every trial, and when the trace drew
+ * zero noise values those reseeds are behaviorally dead, so the
+ * follower's mix is accepted in place of the leader's (see
+ * Machine::ReplayTolerance). Such a follower counts as group-stepped.
+ * The full ladder per follower is: replay (verbatim or substituted),
+ * else diverge to scalar mid-trial.
  *
  * Byte-identity with the scalar path at any batch width, worker
- * count, and tier opt-out is a tested invariant (tests/test_batch.cc,
- * tests/test_machine_group.cc), not a hope.
+ * count, and tier opt-out is a tested invariant (tests/test_batch.cc),
+ * not a hope.
  */
 
 #ifndef HR_EXP_BATCH_HH
@@ -59,7 +63,6 @@
 
 #include "exp/machine_pool.hh"
 #include "sim/machine.hh"
-#include "sim/machine_group.hh"
 
 namespace hr
 {
@@ -84,11 +87,10 @@ class BatchRunner
         int width;
 
         /**
-         * Route followers through the group-stepped tier (substituted
-         * replay / guided execution; see sim/machine_group.hh). Off
-         * reproduces the strict verbatim-replay-or-diverge ladder
-         * (`hr_bench ... --no-group`). Output is byte-identical either
-         * way — this is a performance/observability knob.
+         * Let replays substitute dead reseeds (see file doc). Off
+         * replays followers strictly (`hr_bench ... --no-group`).
+         * Output is byte-identical either way — this is a
+         * performance/observability knob.
          */
         bool group;
     };
@@ -98,10 +100,10 @@ class BatchRunner
         std::uint64_t trials = 0;   //!< total trials executed
         std::uint64_t leaders = 0;  //!< trials simulated as leaders
         std::uint64_t replayed = 0; //!< followers answered from trace
-        std::uint64_t groupStepped = 0; //!< group tier: substituted
-                                        //!< replay or guided march
+        std::uint64_t groupStepped = 0; //!< replayed with substituted
+                                        //!< dead reseeds
         std::uint64_t diverged = 0; //!< followers that fell back mid-trial
-        std::uint64_t scalar = 0;   //!< followers of an opaque trace
+        std::uint64_t scalar = 0;   //!< followers run scalar outright
 
         /** Merge (for accumulating across runners/sweep rows). */
         void add(const Stats &other);
@@ -140,15 +142,11 @@ class BatchRunner
 
     const Stats &stats() const { return stats_; }
 
-    /** The group stepper (lane-level SoA bookkeeping; tests). */
-    const MachineGroup &group() const { return group_; }
-
   private:
     MachinePool::Lease lease_;
     Machine::Snapshot base_;
     Options options_;
     Stats stats_;
-    MachineGroup group_;
     bool dirty_ = false; //!< machine state differs from base_
 };
 

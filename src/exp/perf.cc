@@ -428,17 +428,16 @@ runPerfSuites(const PerfOptions &options)
         note("group_step_rate");
         // Noisy profile + per-trial reseeds: the trace both draws
         // randomness and reseeds, so substitution is unsound and
-        // verbatim replay diverges at the first mix. Guided group
-        // stepping executes every lane for real against the leader's
-        // op skeleton instead of falling all the way back to scalar
-        // snapshot/restore per trial.
+        // verbatim replay would diverge at the first mix. BatchRunner
+        // sends these followers straight to the scalar path; the suite
+        // measures that route against the other batched suites.
         MachinePool pool(machineConfigForProfile("noisy"));
         BatchRunner batch(pool);
         std::uint64_t mix = 1;
         PerfSuite suite = measureRate(
             "group_step_rate",
             "racing trials per second on the noisy profile with "
-            "per-trial reseeds (width 32; guided group stepping)",
+            "per-trial reseeds (width 32; followers run scalar)",
             budget, [&]() {
                 batch.forEach(32, [&](Machine &machine, std::size_t i) {
                     machine.reseedNoise(mix + i);
@@ -545,11 +544,12 @@ runPerfSuites(const PerfOptions &options)
             "8-bit frames, lockstep batched width 32)",
             budget, [&]() {
                 long long symbols = 0;
-                for (const ChannelStats &stats :
-                     channel.runBatched(batch, payloads)) {
-                    symbols +=
-                        static_cast<long long>(stats.symbolsSent);
-                }
+                batch.forEach(payloads.size(),
+                              [&](Machine &machine, std::size_t i) {
+                                  symbols += static_cast<long long>(
+                                      channel.run(machine, payloads[i])
+                                          .symbolsSent);
+                              });
                 return symbols;
             });
         suite.tolerance = kBatchTolerance;

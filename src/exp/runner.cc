@@ -44,8 +44,7 @@ ExperimentRunner::run(Scenario &scenario)
 
     // The verbose "batching" summary is the delta of the batch.*
     // registry counters over this run, so it covers every BatchRunner
-    // — including Channel::runBatched's private one, whose Stats
-    // object the channel scenarios drop.
+    // — including private ones whose Stats object the scenario drops.
     BatchRunner::Stats tiers0;
     tiers0.trials = met.batchTrials.value();
     tiers0.leaders = met.batchLeaders.value();

@@ -42,9 +42,9 @@ struct RunOptions
     bool batch = true;
 
     /**
-     * Route batched followers through the group-stepped tier
-     * (sim/machine_group.hh); byte-identical either way. --no-group
-     * clears it (leaving the strict replay-or-scalar ladder).
+     * Let batched followers replay with dead-reseed substitution
+     * (BatchRunner::Options::group); byte-identical either way.
+     * --no-group clears it (followers replay strictly).
      */
     bool group = true;
 

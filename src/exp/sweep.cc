@@ -150,8 +150,8 @@ gridKeySet(const std::vector<SweepAxis> &axes)
  * copies plus one set() of the last axis key.
  *
  * Rows are also the sweep's lockstep unit: poolMap sizes batching
- * groups to lastN, so each row gets one recorded leader and steps its
- * remaining points as group lanes (see sim/machine_group.hh).
+ * groups to lastN, so each row gets one recorded leader and replays
+ * its remaining points against it (see exp/batch.hh).
  */
 struct SweepRows
 {

@@ -61,9 +61,8 @@ struct SweepOptions
     bool batch = true;
 
     /**
-     * Group-stepped batching tier (sim/machine_group.hh): lockstep
-     * groups are sized to grid rows (one leader per row, the row's
-     * remaining points as lanes). Output is byte-identical either
+     * Dead-reseed substitution in batched replays
+     * (BatchRunner::Options::group). Output is byte-identical either
      * way. --no-group clears it.
      */
     bool group = true;

@@ -261,9 +261,7 @@ class Metrics
     MetricCounter batchFollowersScalar{*this, "batch.followers_scalar",
                                  false};
 
-    // ---- group: MachineGroup lane outcomes ------------------------
-    MetricCounter groupLanesReplayed{*this, "group.lanes_replayed", false};
-    MetricCounter groupLanesStepped{*this, "group.lanes_stepped", false};
+    // ---- group: BatchRunner dead-reseed substitution --------------
     MetricCounter groupLanesPeeled{*this, "group.lanes_peeled", false};
     MetricCounter groupReseedsSubstituted{*this, "group.reseeds_substituted",
                                     false};

@@ -23,7 +23,7 @@ nextMachineSerial()
 
 /**
  * Logical-run bookkeeping at the public run/coRun boundary: every
- * execution tier (real, replayed, guided) funnels through here exactly
+ * execution tier (real or replayed) funnels through here exactly
  * once per logical run, so these metrics are --jobs/tier invariant.
  * Reads only raw RunResult fields — never traced Machine ops, which
  * would append TraceOps to recordings and break replay byte-identity.
@@ -217,8 +217,6 @@ Machine::snapshot()
 {
     if (replayTrace_)
         divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     Snapshot snap;
@@ -234,8 +232,6 @@ Machine::restore(const Snapshot &snap)
 {
     if (replayTrace_)
         divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     hierarchy_.restore(snap.hierarchy);
@@ -285,9 +281,6 @@ Machine::run(ContextId ctx, Program &program,
     }
 
     auto decoded = decodeCache_->acquire(program);
-    if (guidedTrace_)
-        guidedObserveRun(ctx, decoded.get(), initial_regs, max_cycles,
-                         nullptr);
     RunResult result =
         realRun(ctx, *decoded, program.id, initial_regs, max_cycles);
     if (recording_) {
@@ -379,9 +372,6 @@ Machine::coRun(ContextId ctx, Program &program,
         spec.extras.push_back(std::move(extra));
     }
 
-    if (guidedTrace_)
-        guidedObserveRun(spec.ctx, spec.decoded.get(), spec.initialRegs,
-                         spec.maxCycles, &spec.extras);
     RunResult result = realCoRun(spec);
     if (recording_) {
         TraceOp op;
@@ -537,8 +527,6 @@ Machine::setBackground(ContextId ctx, Program program)
             "MachineConfig::contexts)");
     if (replayTrace_)
         divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     // The registered copy gets its own fresh (cold-predictor) id even
@@ -557,8 +545,6 @@ Machine::clearBackground(ContextId ctx)
 {
     if (replayTrace_)
         divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     backgrounds_.erase(ctx);
@@ -569,8 +555,6 @@ Machine::clearBackgrounds()
 {
     if (replayTrace_)
         divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     backgrounds_.clear();
@@ -589,8 +573,6 @@ Machine::poke(Addr addr, std::int64_t value)
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Poke, addr, value, 0, 0);
     memory_.write(addr, value);
     if (recording_) {
         TraceOp op;
@@ -612,8 +594,6 @@ Machine::peek(Addr addr) const
         }
         divergeReplay();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Peek, addr, 0, 0, 0);
     const std::int64_t value = memory_.read(addr);
     if (recording_) {
         TraceOp op;
@@ -636,8 +616,6 @@ Machine::flushLine(Addr addr)
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::FlushLine, addr, 0, 0, 0);
     hierarchy_.flushLine(addr);
     if (recording_) {
         TraceOp op;
@@ -658,8 +636,6 @@ Machine::flushAllCaches()
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::FlushAll, 0, 0, 0, 0);
     hierarchy_.flushAll();
     if (recording_) {
         TraceOp op;
@@ -679,8 +655,6 @@ Machine::warm(Addr addr, int upto_level)
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Warm, addr, 0, upto_level, 0);
     hierarchy_.warm(addr, upto_level);
     if (recording_) {
         TraceOp op;
@@ -702,8 +676,6 @@ Machine::probeLevel(Addr addr) const
         }
         divergeReplay();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::ProbeLevel, addr, 0, 0, 0);
     const int level = hierarchy_.probeLevel(addr);
     if (recording_) {
         TraceOp op;
@@ -726,8 +698,6 @@ Machine::settle()
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Settle, 0, 0, 0, 0);
     hierarchy_.drainAllFills();
     if (recording_) {
         TraceOp op;
@@ -747,8 +717,6 @@ Machine::now() const
         }
         divergeReplay();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Now, 0, 0, 0, 0);
     const Cycle cycle = core_->cycle();
     if (recording_) {
         TraceOp op;
@@ -770,9 +738,6 @@ Machine::contextStats(ContextId ctx) const
         }
         divergeReplay();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::CtxStats, 0, 0,
-                      static_cast<int>(ctx), 0);
     const ContextAccessStats stats = hierarchy_.contextStats(ctx);
     if (recording_) {
         TraceOp op;
@@ -795,8 +760,6 @@ Machine::cacheMisses(int level) const
         }
         divergeReplay();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::CacheMisses, 0, 0, level, 0);
     std::uint64_t misses = 0;
     switch (level) {
       case 1:
@@ -847,8 +810,6 @@ Machine::reseedNoise(std::uint64_t mix)
         }
         divergeReplayImpl();
     }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Reseed, 0, 0, 0, mix);
     applyReseed(mix);
     if (recording_) {
         TraceOp op;
@@ -872,8 +833,7 @@ Machine::applyReseed(std::uint64_t mix)
 void
 Machine::beginRecord(TrialTrace &trace)
 {
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
+    panicIf(recording_ != nullptr || replayTrace_ != nullptr,
             "Machine::beginRecord: already tracing");
     recording_ = &trace;
     recordDraws0_ = hierarchy_.rngDraws();
@@ -906,8 +866,7 @@ void
 Machine::beginReplay(const TrialTrace &trace, const Snapshot &base,
                      ReplayTolerance tolerance)
 {
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
+    panicIf(recording_ != nullptr || replayTrace_ != nullptr,
             "Machine::beginReplay: already tracing");
     fatalIf(trace.opaque,
             "Machine::beginReplay: trace is opaque (the leader used "
@@ -945,134 +904,6 @@ Machine::endReplay()
                       lastReplayMatched_, "clean",
                       static_cast<std::uint64_t>(clean));
     return clean;
-}
-
-void
-Machine::beginGuided(const TrialTrace &trace)
-{
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
-            "Machine::beginGuided: already tracing");
-    fatalIf(trace.opaque,
-            "Machine::beginGuided: trace is opaque (the leader used "
-            "snapshot/restore or changed backgrounds)");
-    guidedTrace_ = &trace;
-    guidedPos_ = 0;
-    guidedPeeled_ = false;
-    guidedSubs_ = 0;
-}
-
-bool
-Machine::endGuided()
-{
-    // A peel already cleared guidedTrace_ mid-trial (state was real
-    // throughout, so there was nothing to re-materialize).
-    panicIf(guidedTrace_ == nullptr && !guidedPeeled_,
-            "Machine::endGuided: not guiding");
-    lastGuidedMatched_ = guidedPos_;
-    lastGuidedSubs_ = guidedSubs_;
-    guidedTrace_ = nullptr;
-    guidedPos_ = 0;
-    guidedSubs_ = 0;
-    const bool on_skeleton = !guidedPeeled_;
-    guidedPeeled_ = false;
-    return on_skeleton;
-}
-
-void
-Machine::peelGuided() const
-{
-    guidedTrace_ = nullptr;
-    guidedPeeled_ = true;
-}
-
-const TraceOp *
-Machine::guidedExpect(TraceOp::Kind kind) const
-{
-    if (guidedPos_ >= guidedTrace_->ops.size())
-        return nullptr;
-    const TraceOp &op = guidedTrace_->ops[guidedPos_];
-    return op.kind == kind ? &op : nullptr;
-}
-
-void
-Machine::guidedObserve(TraceOp::Kind kind, Addr addr,
-                       std::int64_t value, int level,
-                       std::uint64_t mix) const
-{
-    const TraceOp *op = guidedExpect(kind);
-    bool match = op != nullptr;
-    if (match) {
-        // Inputs only: guided results come from real execution and may
-        // legitimately differ from the leader's (the noise streams
-        // differ — that is why this lane is guided, not replayed). A
-        // result difference that matters surfaces as a later input
-        // mismatch, which peels.
-        switch (kind) {
-          case TraceOp::Kind::Poke:
-            match = op->addr == addr && op->value == value;
-            break;
-          case TraceOp::Kind::Peek:
-          case TraceOp::Kind::FlushLine:
-          case TraceOp::Kind::ProbeLevel:
-            match = op->addr == addr;
-            break;
-          case TraceOp::Kind::Warm:
-            match = op->addr == addr && op->level == level;
-            break;
-          case TraceOp::Kind::CtxStats:
-          case TraceOp::Kind::CacheMisses:
-            match = op->level == level;
-            break;
-          case TraceOp::Kind::Reseed:
-            if (op->mix != mix)
-                ++guidedSubs_;
-            break;
-          case TraceOp::Kind::FlushAll:
-          case TraceOp::Kind::Settle:
-          case TraceOp::Kind::Now:
-            break; // the kind is the whole comparison
-          case TraceOp::Kind::Run:
-            match = false; // Run ops go through guidedObserveRun
-            break;
-        }
-    }
-    if (!match) {
-        peelGuided();
-        return;
-    }
-    ++guidedPos_;
-}
-
-void
-Machine::guidedObserveRun(ContextId ctx, const DecodedProgram *decoded,
-                          const std::vector<std::pair<RegId,
-                                                      std::int64_t>>
-                              &initial_regs,
-                          Cycle max_cycles,
-                          const std::vector<TraceOp::Extra> *extras)
-    const
-{
-    const TraceOp *op = guidedExpect(TraceOp::Kind::Run);
-    bool match = op != nullptr;
-    if (match) {
-        const TraceOp::RunSpec &rec = op->run;
-        const std::size_t n_extras = extras ? extras->size() : 0;
-        match = rec.ctx == ctx && rec.maxCycles == max_cycles &&
-                rec.initialRegs == initial_regs &&
-                rec.extras.size() == n_extras &&
-                rec.decoded.get() == decoded;
-        for (std::size_t i = 0; match && i < n_extras; ++i) {
-            match = rec.extras[i].ctx == (*extras)[i].ctx &&
-                    rec.extras[i].decoded.get() ==
-                        (*extras)[i].decoded.get();
-        }
-    }
-    if (!match) {
-        peelGuided();
-        return;
-    }
-    ++guidedPos_;
 }
 
 void

@@ -16,7 +16,9 @@
  * per-configuration DecodeCache (shareable across a MachinePool), and
  * the whole public harness surface can be recorded into a TrialTrace
  * and replayed — the machinery behind BatchRunner's lockstep trial
- * batching (see exp/batch.hh).
+ * batching (see exp/batch.hh). That is the machine's one skeleton
+ * mode: record a trial, or replay one against a recorded trace under
+ * a ReplayTolerance; every other execution is plain scalar.
  */
 
 #ifndef HR_SIM_MACHINE_HH
@@ -309,8 +311,8 @@ class Machine
 
     /**
      * What a replay may paper over beyond an exact op-for-op match.
-     * The group-stepped batching tier turns on dead-reseed
-     * substitution; the plain leader/follower tier replays strict.
+     * BatchRunner turns on dead-reseed substitution unless its group
+     * option is off, in which case followers replay strict.
      */
     struct ReplayTolerance
     {
@@ -365,37 +367,8 @@ class Machine
      */
     std::size_t replayMatched() const { return lastReplayMatched_; }
 
-    /**
-     * Start guided execution against @p trace: every operation
-     * executes for real on this machine's current state (which the
-     * caller has restored to the trace's base), while being matched
-     * against the recorded op sequence on the side. Reseed mixes may
-     * substitute freely (the op still executes, with the lane's own
-     * mix). The first genuinely mismatched op peels the machine off
-     * the skeleton — at zero cost, since nothing was skipped — and the
-     * trial simply continues scalar. This is the group-stepped path
-     * for traces whose results DO depend on the noise seeds
-     * (TrialTrace::rngDraws > 0): the trial cannot be answered from
-     * the trace, but it can march down the same op skeleton and
-     * report, for free, whether it stayed on it.
-     */
-    void beginGuided(const TrialTrace &trace);
-
-    /**
-     * Finish guided execution. Returns true if the trial never peeled
-     * off the skeleton (every op it made matched, in order).
-     */
-    bool endGuided();
-
-    /** Ops matched before the last guided trial ended or peeled. */
-    std::size_t guidedMatched() const { return lastGuidedMatched_; }
-
-    /** Reseed-mix substitutions during the last guided trial. */
-    std::size_t guidedSubstitutions() const { return lastGuidedSubs_; }
-
     bool recording() const { return recording_ != nullptr; }
     bool replaying() const { return replayTrace_ != nullptr; }
-    bool guiding() const { return guidedTrace_ != nullptr; }
 
   private:
     MachineConfig config_;
@@ -428,14 +401,6 @@ class Machine
         replaySubs_;
     std::size_t lastReplaySubs_ = 0;
     std::size_t lastReplayMatched_ = 0;
-
-    // --- guided-execution state (see beginGuided) ---
-    mutable const TrialTrace *guidedTrace_ = nullptr;
-    mutable std::size_t guidedPos_ = 0;
-    mutable bool guidedPeeled_ = false;
-    mutable std::size_t guidedSubs_ = 0;
-    std::size_t lastGuidedMatched_ = 0;
-    std::size_t lastGuidedSubs_ = 0;
 
     // --- execution internals ---
     RunResult realRun(ContextId ctx, const DecodedProgram &decoded,
@@ -473,39 +438,6 @@ class Machine
 
     /** Next trace op if it matches @p kind, else diverge and null. */
     const TraceOp *replayExpect(TraceOp::Kind kind) const;
-
-    // --- guided-execution internals ---
-    /**
-     * Match one executed-for-real op against the skeleton: advance on
-     * a hit, peel quietly on a miss. Const for the same reason as
-     * divergeReplay: pure reads (peek/now/...) participate too, and
-     * peeling only flips bookkeeping — state is already real.
-     */
-    void guidedObserve(TraceOp::Kind kind, Addr addr, std::int64_t value,
-                       int level, std::uint64_t mix) const;
-
-    /**
-     * guidedObserve for run/coRun: compares context, decoded image
-     * (pointer equality — the shared DecodeCache content-aliases
-     * identical programs), initial regs, cycle budget, and co-runners.
-     * Program ids are NOT compared: a guided lane executes fresh
-     * programs under its own freshly-allocated ids, which are cold
-     * exactly like the leader's were, so the id value cannot reach
-     * simulated behaviour.
-     */
-    void guidedObserveRun(ContextId ctx, const DecodedProgram *decoded,
-                          const std::vector<std::pair<RegId,
-                                                      std::int64_t>>
-                              &initial_regs,
-                          Cycle max_cycles,
-                          const std::vector<TraceOp::Extra> *extras)
-        const;
-
-    /** The skeleton op the next real op should match, if any. */
-    const TraceOp *guidedExpect(TraceOp::Kind kind) const;
-
-    /** Stop matching against the skeleton (state is already real). */
-    void peelGuided() const;
 };
 
 } // namespace hr

@@ -106,8 +106,8 @@ struct TrialTrace
      * recorded result is independent of the noise seeds: no stream was
      * ever read, so a reseedNoise with a *different* mix is
      * behaviorally dead and a follower differing only in reseed mixes
-     * can still be answered from the trace (the dead-reseed fast path
-     * of the group-stepped batching tier; see sim/machine_group.hh).
+     * can still be answered from the trace (dead-reseed substitution;
+     * see Machine::ReplayTolerance and exp/batch.hh).
      */
     std::uint64_t rngDraws = 0;
 };

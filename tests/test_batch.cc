@@ -5,8 +5,9 @@
  * The invariant everything else leans on: batched trials are
  * byte-identical to the scalar restore-per-trial pool loop — across
  * every machine profile and replacement policy, whether followers
- * replay cleanly, diverge mid-trial, or fall back scalar behind an
- * opaque trace. Trial bodies observe the machine exclusively through
+ * replay cleanly, diverge mid-trial, or run scalar behind a trace
+ * that cannot stand in for them (per-trial reseeds are covered in
+ * test_machine_group.cc). Trial bodies observe the machine exclusively through
  * its traced public surface (run results, peek/probeLevel/now,
  * contextStats/cacheMisses), which is the documented contract for
  * batched trial code.
@@ -20,160 +21,15 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cache.hh"
+#include "batch_trials.hh"
 #include "channel/channel.hh"
 #include "channel/channel_registry.hh"
-#include "exp/batch.hh"
-#include "exp/machine_pool.hh"
 #include "exp/scenario.hh"
-#include "isa/program.hh"
-#include "sim/machine.hh"
-#include "sim/profiles.hh"
 
 namespace hr
 {
 namespace
 {
-
-std::vector<Addr>
-workloadAddrs()
-{
-    std::vector<Addr> addrs;
-    for (int i = 0; i < 16; ++i)
-        addrs.push_back(0x40000 + static_cast<Addr>(i) * 0x1040);
-    return addrs;
-}
-
-/** Load/branch/store mix; `variant` flips the branch direction. */
-Program
-makeWorkload(int variant)
-{
-    ProgramBuilder builder("batch_wl" + std::to_string(variant));
-    RegId x = builder.movImm(variant);
-    RegId acc = builder.movImm(1);
-    for (Addr addr : workloadAddrs()) {
-        RegId v = builder.loadAbsolute(addr);
-        acc = builder.binop(Opcode::Add, acc, v);
-    }
-    const std::int32_t skip = builder.newLabel();
-    builder.branch(x, skip);
-    acc = builder.binopImm(Opcode::Xor, acc, 0x5a);
-    builder.bind(skip);
-    builder.storeOrdered(0x90000, acc, acc);
-    builder.halt();
-    return builder.take();
-}
-
-/**
- * Everything a batched trial may legally observe: the run result plus
- * traced harness reads. (Raw hierarchy() stats reads would bypass the
- * trace and are exactly what this surface replaces.)
- */
-struct TrialObservation
-{
-    Cycle now = 0;
-    Cycle runCycles = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t ctxMisses = 0;
-    std::vector<int> levels;
-    std::int64_t storedWord = 0;
-
-    bool
-    operator==(const TrialObservation &o) const
-    {
-        return now == o.now && runCycles == o.runCycles &&
-               committed == o.committed &&
-               mispredicts == o.mispredicts &&
-               l1Misses == o.l1Misses && ctxMisses == o.ctxMisses &&
-               levels == o.levels && storedWord == o.storedWord;
-    }
-    bool operator!=(const TrialObservation &o) const
-    {
-        return !(*this == o);
-    }
-};
-
-/** One trial: run the indexed workload variant, observe via the
- *  traced surface only. */
-TrialObservation
-trialBody(Machine &machine, int variant)
-{
-    Program w = makeWorkload(variant);
-    const RunResult result = machine.run(w);
-    TrialObservation obs;
-    obs.runCycles = result.cycles();
-    obs.committed = result.counters.committedInstrs;
-    obs.mispredicts = result.counters.mispredicts;
-    obs.now = machine.now();
-    obs.l1Misses = machine.cacheMisses(1);
-    obs.ctxMisses = machine.contextStats(0).misses;
-    for (Addr addr : workloadAddrs())
-        obs.levels.push_back(machine.probeLevel(addr));
-    obs.storedWord = machine.peek(0x90000);
-    return obs;
-}
-
-/** The scalar reference: restore-per-trial over a pool lease. */
-std::vector<TrialObservation>
-scalarTrials(MachinePool &pool, int count,
-             const std::function<int(int)> &variantOf)
-{
-    std::vector<TrialObservation> out;
-    for (int i = 0; i < count; ++i) {
-        auto lease = pool.lease();
-        out.push_back(trialBody(lease.machine(), variantOf(i)));
-    }
-    return out;
-}
-
-std::vector<TrialObservation>
-batchedTrials(MachinePool &pool, int count,
-              const std::function<int(int)> &variantOf, int width,
-              BatchRunner::Stats *stats_out = nullptr)
-{
-    BatchRunner::Options options;
-    options.width = width;
-    BatchRunner batch(pool, {}, options);
-    std::vector<TrialObservation> out(
-        static_cast<std::size_t>(count));
-    batch.forEach(static_cast<std::size_t>(count),
-                  [&](Machine &machine, std::size_t i) {
-                      out[i] = trialBody(
-                          machine, variantOf(static_cast<int>(i)));
-                  });
-    if (stats_out != nullptr)
-        *stats_out = batch.stats();
-    return out;
-}
-
-struct Combo
-{
-    std::string profile;
-    PolicyKind policy;
-};
-
-std::vector<Combo>
-allCombos()
-{
-    const PolicyKind kinds[] = {PolicyKind::TreePlru, PolicyKind::Lru,
-                                PolicyKind::Random, PolicyKind::Nru,
-                                PolicyKind::Srrip};
-    std::vector<Combo> combos;
-    for (const MachineProfile &profile : machineProfiles())
-        for (PolicyKind kind : kinds)
-            combos.push_back({profile.name, kind});
-    return combos;
-}
-
-MachineConfig
-configFor(const Combo &combo)
-{
-    MachineConfig config = machineConfigForProfile(combo.profile);
-    config.memory.l1.policy = combo.policy;
-    return config;
-}
 
 TEST(Batch, BitIdenticalAcrossProfilesAndPolicies)
 {
@@ -328,7 +184,7 @@ sameStats(const ChannelStats &a, const ChannelStats &b)
            a.cycles == b.cycles && a.seconds == b.seconds;
 }
 
-TEST(Batch, ChannelRunBatchedMatchesScalarLoop)
+TEST(Batch, ChannelTransmissionsMatchScalarLoop)
 {
     ParamSet overrides;
     overrides.set("ecc", "none");
@@ -347,7 +203,8 @@ TEST(Batch, ChannelRunBatchedMatchesScalarLoop)
     }
 
     // Scalar reference: prepare once, restore to the prepared state
-    // per transmission — the semantics runBatched promises.
+    // per transmission — what a batch with prepare() as setup must
+    // reproduce.
     const MachineConfig config = machineConfigForProfile("default");
     Machine machine(config);
     channel.prepare(machine);
@@ -359,8 +216,12 @@ TEST(Batch, ChannelRunBatchedMatchesScalarLoop)
     }
 
     MachinePool pool(config);
-    const std::vector<ChannelStats> batched =
-        channel.runBatched(pool, payloads);
+    BatchRunner batch(pool,
+                      [&](Machine &machine) { channel.prepare(machine); });
+    std::vector<ChannelStats> batched(payloads.size());
+    batch.forEach(payloads.size(), [&](Machine &machine, std::size_t i) {
+        batched[i] = channel.run(machine, payloads[i]);
+    });
     ASSERT_EQ(batched.size(), scalar.size());
     for (std::size_t i = 0; i < scalar.size(); ++i) {
         SCOPED_TRACE("payload " + std::to_string(i));
@@ -377,17 +238,20 @@ TEST(Batch, PoolLeasesStayIndependentOfLiveBatch)
     const std::vector<TrialObservation> expected =
         scalarTrials(pool, 1, [](int) { return 1; });
 
+    // The runner leases first, and the leaser leases at least once
+    // (do-while) while that lease is held, so the pool must build a
+    // second machine however the two threads are scheduled.
+    BatchRunner batch(pool);
     std::atomic<int> mismatches{0};
     std::atomic<bool> stop{false};
     std::thread leaser([&] {
-        while (!stop.load()) {
+        do {
             auto lease = pool.lease();
             if (trialBody(lease.machine(), 1) != expected[0])
                 mismatches.fetch_add(1);
-        }
+        } while (!stop.load());
     });
 
-    BatchRunner batch(pool);
     std::vector<TrialObservation> batched(64);
     batch.forEach(64, [&](Machine &machine, std::size_t i) {
         batched[i] = trialBody(machine, static_cast<int>(i) % 2);

@@ -1,14 +1,16 @@
 /**
  * @file
- * MachineGroup group-stepping tests.
+ * Machine-group tests: per-trial reseeds across one batch group.
  *
- * The invariant: group-stepped trials are byte-identical to the scalar
- * restore-per-trial pool loop — across every machine profile and
- * replacement policy, at any group width, whether lanes are served by
- * substituted replay (dead reseeds on draw-free profiles), guided real
- * execution (noisy reseeding lanes), or peel off the skeleton
- * mid-group. The trial mix of every test reseeds per lane, which is
- * exactly the shape the plain record/replay tier cannot serve.
+ * The invariant: trials that reseed the noise streams with their own
+ * mix are byte-identical to the scalar restore-per-trial pool loop
+ * across every machine profile and replacement policy, at any group
+ * width. On draw-free profiles followers replay the leader's trace
+ * with their dead reseeds substituted (BatchRunner::Options::group);
+ * followers of a trace that draws noise and reseeds run scalar; a
+ * follower that runs a different program diverges mid-group. The
+ * trial mix of every test reseeds per trial, which is exactly the
+ * shape a strict replay cannot serve.
  */
 
 #include <gtest/gtest.h>
@@ -18,229 +20,78 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cache.hh"
-#include "exp/batch.hh"
-#include "exp/machine_pool.hh"
-#include "isa/program.hh"
-#include "sim/machine.hh"
-#include "sim/machine_group.hh"
-#include "sim/profiles.hh"
+#include "batch_trials.hh"
+#include "obs/metrics.hh"
 
 namespace hr
 {
 namespace
 {
 
-std::vector<Addr>
-workloadAddrs()
+TEST(MachineGroup, ReseededBitIdenticalAcrossWidths)
 {
-    std::vector<Addr> addrs;
-    for (int i = 0; i < 12; ++i)
-        addrs.push_back(0x60000 + static_cast<Addr>(i) * 0x1040);
-    return addrs;
-}
-
-/** Load/branch/store mix; `variant` flips the branch direction. */
-Program
-makeWorkload(int variant)
-{
-    ProgramBuilder builder("group_wl" + std::to_string(variant));
-    RegId x = builder.movImm(variant);
-    RegId acc = builder.movImm(1);
-    for (Addr addr : workloadAddrs()) {
-        RegId v = builder.loadAbsolute(addr);
-        acc = builder.binop(Opcode::Add, acc, v);
-    }
-    const std::int32_t skip = builder.newLabel();
-    builder.branch(x, skip);
-    acc = builder.binopImm(Opcode::Xor, acc, 0x33);
-    builder.bind(skip);
-    builder.storeOrdered(0x98000, acc, acc);
-    builder.halt();
-    return builder.take();
-}
-
-/** Traced-surface-only observation (the batched-trial contract). */
-struct TrialObservation
-{
-    Cycle now = 0;
-    Cycle runCycles = 0;
-    std::uint64_t committed = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t l1Misses = 0;
-    std::vector<int> levels;
-    std::int64_t storedWord = 0;
-
-    bool
-    operator==(const TrialObservation &o) const
-    {
-        return now == o.now && runCycles == o.runCycles &&
-               committed == o.committed &&
-               mispredicts == o.mispredicts &&
-               l1Misses == o.l1Misses && levels == o.levels &&
-               storedWord == o.storedWord;
-    }
-    bool operator!=(const TrialObservation &o) const
-    {
-        return !(*this == o);
-    }
-};
-
-TrialObservation
-trialBody(Machine &machine, int variant)
-{
-    Program w = makeWorkload(variant);
-    const RunResult result = machine.run(w);
-    TrialObservation obs;
-    obs.runCycles = result.cycles();
-    obs.committed = result.counters.committedInstrs;
-    obs.mispredicts = result.counters.mispredicts;
-    obs.now = machine.now();
-    obs.l1Misses = machine.cacheMisses(1);
-    for (Addr addr : workloadAddrs())
-        obs.levels.push_back(machine.probeLevel(addr));
-    obs.storedWord = machine.peek(0x98000);
-    return obs;
-}
-
-/** The reseeding trial shape the group tier exists for. */
-TrialObservation
-reseededTrial(Machine &machine, int index, int variant)
-{
-    machine.reseedNoise(0x9000 +
-                        static_cast<std::uint64_t>(index) * 7);
-    return trialBody(machine, variant);
-}
-
-std::vector<TrialObservation>
-scalarTrials(MachinePool &pool, int count,
-             const std::function<int(int)> &variantOf)
-{
-    std::vector<TrialObservation> out;
-    for (int i = 0; i < count; ++i) {
-        auto lease = pool.lease();
-        out.push_back(reseededTrial(lease.machine(), i, variantOf(i)));
-    }
-    return out;
-}
-
-std::vector<TrialObservation>
-groupedTrials(MachinePool &pool, int count,
-              const std::function<int(int)> &variantOf, int width,
-              bool group = true,
-              BatchRunner::Stats *stats_out = nullptr,
-              MachineGroup::Stats *group_stats_out = nullptr)
-{
-    BatchRunner::Options options;
-    options.width = width;
-    options.group = group;
-    BatchRunner batch(pool, {}, options);
-    std::vector<TrialObservation> out(
-        static_cast<std::size_t>(count));
-    batch.forEach(static_cast<std::size_t>(count),
-                  [&](Machine &machine, std::size_t i) {
-                      out[i] = reseededTrial(
-                          machine, static_cast<int>(i),
-                          variantOf(static_cast<int>(i)));
-                  });
-    if (stats_out != nullptr)
-        *stats_out = batch.stats();
-    if (group_stats_out != nullptr)
-        *group_stats_out = batch.group().stats();
-    return out;
-}
-
-struct Combo
-{
-    std::string profile;
-    PolicyKind policy;
-};
-
-std::vector<Combo>
-allCombos()
-{
-    const PolicyKind kinds[] = {PolicyKind::TreePlru, PolicyKind::Lru,
-                                PolicyKind::Random, PolicyKind::Nru,
-                                PolicyKind::Srrip};
-    std::vector<Combo> combos;
-    for (const MachineProfile &profile : machineProfiles())
-        for (PolicyKind kind : kinds)
-            combos.push_back({profile.name, kind});
-    return combos;
-}
-
-MachineConfig
-configFor(const Combo &combo)
-{
-    MachineConfig config = machineConfigForProfile(combo.profile);
-    config.memory.l1.policy = combo.policy;
-    return config;
-}
-
-TEST(MachineGroup, BitIdenticalMatrixAcrossWidths)
-{
-    // Every profile x policy x width: per-lane reseeds plus a variant
-    // mix, so the same matrix exercises substituted replay (draw-free
-    // profiles), guided stepping (jitter / random-replacement
-    // profiles), and mid-group peel-off (the variant-1 lanes).
+    // Every profile x policy x width with per-trial reseeds plus a
+    // variant mix: the same matrix exercises substituted replay
+    // (draw-free profiles), the scalar route (jitter /
+    // random-replacement profiles), and mid-group divergence (the
+    // variant-1 trials).
     const auto variant_of = [](int i) { return i % 3 == 2 ? 1 : 0; };
     for (const Combo &combo : allCombos()) {
         SCOPED_TRACE(combo.profile + "/" +
                      policyKindName(combo.policy));
         MachinePool pool(configFor(combo));
         const std::vector<TrialObservation> scalar =
-            scalarTrials(pool, 6, variant_of);
+            scalarTrials(pool, 6, variant_of, true);
         for (int width : {2, 7, 32}) {
             SCOPED_TRACE("width " + std::to_string(width));
-            const std::vector<TrialObservation> grouped =
-                groupedTrials(pool, 6, variant_of, width);
-            ASSERT_EQ(grouped.size(), scalar.size());
+            const std::vector<TrialObservation> batched = batchedTrials(
+                pool, 6, variant_of, width, nullptr, true);
+            ASSERT_EQ(batched.size(), scalar.size());
             for (std::size_t i = 0; i < scalar.size(); ++i) {
                 SCOPED_TRACE("trial " + std::to_string(i));
-                EXPECT_TRUE(grouped[i] == scalar[i]);
+                EXPECT_TRUE(batched[i] == scalar[i]);
             }
         }
     }
 }
 
-TEST(MachineGroup, ReseededLanesStepWithoutDivergence)
+TEST(MachineGroup, ReseededFollowersSubstituteDeadReseeds)
 {
-    // Identical trials apart from the per-lane mix, on a profile that
+    // Identical trials apart from the per-trial mix, on a profile that
     // draws no noise: every follower is a substituted replay — one
     // substitution each, no divergence, no scalar fallback.
     MachinePool pool(machineConfigForProfile("default"));
+    const std::uint64_t subs0 = metrics().groupReseedsSubstituted.value();
     BatchRunner::Stats stats;
-    MachineGroup::Stats group_stats;
-    const std::vector<TrialObservation> grouped = groupedTrials(
-        pool, 8, [](int) { return 1; }, 8, true, &stats,
-        &group_stats);
+    const std::vector<TrialObservation> batched = batchedTrials(
+        pool, 8, [](int) { return 1; }, 8, &stats, true);
+    EXPECT_EQ(metrics().groupReseedsSubstituted.value() - subs0, 7u);
     const std::vector<TrialObservation> scalar =
-        scalarTrials(pool, 8, [](int) { return 1; });
+        scalarTrials(pool, 8, [](int) { return 1; }, true);
     for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_TRUE(grouped[i] == scalar[i]);
+        EXPECT_TRUE(batched[i] == scalar[i]);
     EXPECT_EQ(stats.leaders, 1u);
     EXPECT_EQ(stats.groupStepped, 7u);
     EXPECT_EQ(stats.replayed, 0u);
     EXPECT_EQ(stats.diverged, 0u);
     EXPECT_EQ(stats.scalar, 0u);
-    EXPECT_EQ(group_stats.substitutions, 7u);
 }
 
-TEST(MachineGroup, ForcedMidGroupPeelOff)
+TEST(MachineGroup, SubstitutedFollowerDivergesWithItsOwnMix)
 {
-    // Lane 3 runs a different program after its (substituted) reseed:
-    // it must peel off at the Run op, re-materialize the prefix with
-    // its OWN mix — not the leader's — and still match scalar exactly.
+    // Trial 3 runs a different program after its (substituted)
+    // reseed: it must diverge at the Run op, re-materialize the prefix
+    // with its OWN mix — not the leader's — and still match scalar.
     const auto variant_of = [](int i) { return i == 3 ? 1 : 0; };
     MachinePool pool(machineConfigForProfile("default"));
     const std::vector<TrialObservation> scalar =
-        scalarTrials(pool, 8, variant_of);
+        scalarTrials(pool, 8, variant_of, true);
     BatchRunner::Stats stats;
-    const std::vector<TrialObservation> grouped =
-        groupedTrials(pool, 8, variant_of, 8, true, &stats);
+    const std::vector<TrialObservation> batched =
+        batchedTrials(pool, 8, variant_of, 8, &stats, true);
     for (std::size_t i = 0; i < scalar.size(); ++i) {
         SCOPED_TRACE("trial " + std::to_string(i));
-        EXPECT_TRUE(grouped[i] == scalar[i]);
+        EXPECT_TRUE(batched[i] == scalar[i]);
     }
     EXPECT_EQ(stats.leaders, 1u);
     EXPECT_EQ(stats.diverged, 1u);
@@ -248,174 +99,127 @@ TEST(MachineGroup, ForcedMidGroupPeelOff)
     EXPECT_EQ(stats.scalar, 0u);
 }
 
-TEST(MachineGroup, GuidedLanesOnNoisyProfile)
+TEST(MachineGroup, FollowerOutcomesInOneGroup)
 {
-    // Noisy profile: the trace draws jitter AND reseeds, so lanes run
-    // guided — full real execution down the leader's skeleton. Results
-    // legitimately differ per lane (the mixes matter here); identity
-    // with scalar is the whole point.
+    // One group, three follower fates: a verbatim replay (same mix as
+    // the leader), a substituted replay (different mix), and a
+    // divergence (different program).
+    const std::uint64_t mixes[] = {111, 111, 222, 333};
+    const int variants[] = {0, 0, 0, 1};
+    auto body = [&](Machine &machine, int i) {
+        machine.reseedNoise(mixes[i]);
+        return trialBody(machine, variants[i]);
+    };
+    MachinePool pool(machineConfigForProfile("default"));
+    std::vector<TrialObservation> scalar;
+    for (int i = 0; i < 4; ++i) {
+        auto lease = pool.lease();
+        scalar.push_back(body(lease.machine(), i));
+    }
+    const std::uint64_t subs0 = metrics().groupReseedsSubstituted.value();
+    BatchRunner batch(pool);
+    std::vector<TrialObservation> batched(4);
+    batch.forEach(4, [&](Machine &machine, std::size_t i) {
+        batched[i] = body(machine, static_cast<int>(i));
+    });
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+        SCOPED_TRACE("trial " + std::to_string(i));
+        EXPECT_TRUE(batched[i] == scalar[i]);
+    }
+    EXPECT_EQ(batch.stats().replayed, 1u);
+    EXPECT_EQ(batch.stats().groupStepped, 1u);
+    EXPECT_EQ(batch.stats().diverged, 1u);
+    EXPECT_EQ(batch.stats().scalar, 0u);
+    // Only the clean substituted replay counts: a divergence
+    // re-materializes its substituted prefix for real.
+    EXPECT_EQ(metrics().groupReseedsSubstituted.value() - subs0, 1u);
+}
+
+TEST(MachineGroup, NoisyReseedingFollowersRunScalar)
+{
+    // Noisy profile: the trace draws jitter AND reseeds, so no
+    // follower can be answered from it. Followers go straight to the
+    // scalar path — no replay is attempted — and results, which
+    // legitimately differ per trial (the mixes matter here), match the
+    // scalar loop exactly.
     MachinePool pool(machineConfigForProfile("noisy"));
     const std::vector<TrialObservation> scalar =
-        scalarTrials(pool, 6, [](int) { return 1; });
+        scalarTrials(pool, 6, [](int) { return 1; }, true);
+    Metrics &met = metrics();
+    const std::uint64_t scalar0 = met.batchFollowersScalar.value();
+    const std::uint64_t replays0 = met.machineReplaysClean.value() +
+                                   met.machineReplaysDiverged.value();
     BatchRunner::Stats stats;
-    const std::vector<TrialObservation> grouped = groupedTrials(
-        pool, 6, [](int) { return 1; }, 6, true, &stats);
+    const std::vector<TrialObservation> batched = batchedTrials(
+        pool, 6, [](int) { return 1; }, 6, &stats, true);
     bool any_distinct = false;
     for (std::size_t i = 0; i < scalar.size(); ++i) {
         SCOPED_TRACE("trial " + std::to_string(i));
-        EXPECT_TRUE(grouped[i] == scalar[i]);
-        any_distinct |= i > 0 && grouped[i] != grouped[0];
+        EXPECT_TRUE(batched[i] == scalar[i]);
+        any_distinct |= i > 0 && batched[i] != batched[0];
     }
     EXPECT_TRUE(any_distinct); // reseeds actually changed timing
     EXPECT_EQ(stats.leaders, 1u);
-    EXPECT_EQ(stats.groupStepped, 5u);
+    EXPECT_EQ(stats.scalar, 5u);
+    EXPECT_EQ(stats.groupStepped, 0u);
     EXPECT_EQ(stats.diverged, 0u);
-    EXPECT_EQ(stats.scalar, 0u);
+    EXPECT_EQ(met.batchFollowersScalar.value() - scalar0, 5u);
+    EXPECT_EQ(met.machineReplaysClean.value() +
+                  met.machineReplaysDiverged.value() - replays0,
+              0u);
 }
 
-TEST(MachineGroup, GuidedLanePeelsOffFree)
+TEST(MachineGroup, GroupOffReplaysStrictly)
 {
-    // A guided lane that leaves the skeleton peels at zero cost —
-    // nothing was skipped — and finishes scalar, still identical.
-    const auto variant_of = [](int i) { return i == 2 ? 1 : 0; };
-    MachinePool pool(machineConfigForProfile("noisy"));
-    const std::vector<TrialObservation> scalar =
-        scalarTrials(pool, 5, variant_of);
-    BatchRunner::Stats stats;
-    const std::vector<TrialObservation> grouped =
-        groupedTrials(pool, 5, variant_of, 5, true, &stats);
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-        SCOPED_TRACE("trial " + std::to_string(i));
-        EXPECT_TRUE(grouped[i] == scalar[i]);
-    }
-    EXPECT_EQ(stats.diverged, 1u);
-    EXPECT_EQ(stats.groupStepped, 3u);
-}
-
-TEST(MachineGroup, GroupDisabledFallsBackToStrictTier)
-{
-    // options.group = false (--no-group): the pre-group behavior —
-    // every reseeding follower diverges at its first op — with output
-    // still byte-identical.
+    // options.group = false (--no-group): no substitution, so every
+    // reseeding follower diverges at its first op — with output still
+    // byte-identical.
     MachinePool pool(machineConfigForProfile("default"));
     const std::vector<TrialObservation> scalar =
-        scalarTrials(pool, 6, [](int) { return 0; });
+        scalarTrials(pool, 6, [](int) { return 0; }, true);
     BatchRunner::Stats stats;
-    const std::vector<TrialObservation> grouped = groupedTrials(
-        pool, 6, [](int) { return 0; }, 6, false, &stats);
+    const std::vector<TrialObservation> batched = batchedTrials(
+        pool, 6, [](int) { return 0; }, 6, &stats, true, false);
     for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_TRUE(grouped[i] == scalar[i]);
+        EXPECT_TRUE(batched[i] == scalar[i]);
     EXPECT_EQ(stats.leaders, 1u);
     EXPECT_EQ(stats.diverged, 5u);
     EXPECT_EQ(stats.groupStepped, 0u);
 }
 
-TEST(MachineGroup, LaneBookkeepingSoA)
+TEST(MachineGroup, PoolLeasesStayIndependentOfSubstitutedReplay)
 {
-    // Direct MachineGroup use: one leader skeleton, three lanes with
-    // three distinct fates, verified against scalar references and
-    // through the SoA lane accessors.
-    Machine machine(machineConfigForProfile("default"));
-    const Machine::Snapshot base = machine.snapshot();
-    auto lane_a = [](Machine &m) {
-        m.reseedNoise(111);
-        return trialBody(m, 0);
-    };
-    auto lane_b = [](Machine &m) {
-        m.reseedNoise(222);
-        return trialBody(m, 0);
-    };
-    auto lane_c = [](Machine &m) {
-        m.reseedNoise(333);
-        return trialBody(m, 1);
-    };
-    auto scalar_of = [&](const std::function<TrialObservation(
-                             Machine &)> &body) {
-        machine.restore(base);
-        return body(machine);
-    };
-    const TrialObservation ref_a = scalar_of(lane_a);
-    const TrialObservation ref_b = scalar_of(lane_b);
-    const TrialObservation ref_c = scalar_of(lane_c);
-
-    machine.restore(base);
-    TrialTrace trace;
-    machine.beginRecord(trace);
-    const TrialObservation leader = lane_a(machine);
-    machine.endRecord();
-    EXPECT_TRUE(leader == ref_a);
-    EXPECT_EQ(trace.rngDraws, 0u); // default profile draws nothing
-
-    MachineGroup group;
-    EXPECT_FALSE(group.adopted());
-    group.adopt(&trace, &base);
-    ASSERT_TRUE(group.adopted());
-    bool dirty = true;
-
-    TrialObservation obs;
-    EXPECT_EQ(group.step(machine, dirty,
-                         [&](Machine &m) { obs = lane_a(m); }),
-              MachineGroup::Outcome::Replayed);
-    EXPECT_TRUE(obs == ref_a);
-    EXPECT_EQ(group.step(machine, dirty,
-                         [&](Machine &m) { obs = lane_b(m); }),
-              MachineGroup::Outcome::Stepped);
-    EXPECT_TRUE(obs == ref_b);
-    EXPECT_EQ(group.step(machine, dirty,
-                         [&](Machine &m) { obs = lane_c(m); }),
-              MachineGroup::Outcome::Peeled);
-    EXPECT_TRUE(obs == ref_c);
-
-    ASSERT_EQ(group.lanes(), 3u);
-    EXPECT_EQ(group.laneOutcome(0), MachineGroup::Outcome::Replayed);
-    EXPECT_EQ(group.laneOutcome(1), MachineGroup::Outcome::Stepped);
-    EXPECT_EQ(group.laneOutcome(2), MachineGroup::Outcome::Peeled);
-    EXPECT_EQ(group.laneSubstitutions(0), 0u);
-    EXPECT_EQ(group.laneSubstitutions(1), 1u);
-    EXPECT_EQ(group.laneMatchedOps(0),
-              static_cast<std::uint32_t>(trace.ops.size()));
-    EXPECT_LT(group.laneMatchedOps(2), group.laneMatchedOps(0));
-    EXPECT_EQ(group.stats().replayed, 1u);
-    EXPECT_EQ(group.stats().stepped, 1u);
-    EXPECT_EQ(group.stats().peeled, 1u);
-    EXPECT_EQ(group.stats().substitutions, 1u);
-
-    group.adopt(nullptr, nullptr);
-    EXPECT_FALSE(group.adopted());
-    EXPECT_EQ(group.lanes(), 0u);
-}
-
-TEST(MachineGroup, PoolLeasesStayIndependentOfGroupStepping)
-{
-    // test_batch.cc's stress shape on the group tier: concurrent
-    // leases must observe the clean base state while a reseeding
-    // group marches on another pool machine.
+    // The live-batch stress shape with per-trial reseeds: concurrent
+    // leases must observe the clean base state while substituted
+    // replays run on another pool machine.
     MachinePool pool(machineConfigForProfile("default"));
     const std::vector<TrialObservation> expected =
-        scalarTrials(pool, 8, [](int) { return 1; });
+        scalarTrials(pool, 8, [](int) { return 1; }, true);
 
+    // The runner leases first, and the leaser leases at least once
+    // (do-while) while that lease is held, so the pool must build a
+    // second machine however the two threads are scheduled.
+    BatchRunner batch(pool);
     std::atomic<int> mismatches{0};
     std::atomic<bool> stop{false};
     std::thread leaser([&] {
-        while (!stop.load()) {
+        do {
             auto lease = pool.lease();
             if (reseededTrial(lease.machine(), 0, 1) != expected[0])
                 mismatches.fetch_add(1);
-        }
+        } while (!stop.load());
     });
 
-    BatchRunner batch(pool);
-    std::vector<TrialObservation> grouped(8);
+    std::vector<TrialObservation> batched(8);
     batch.forEach(8, [&](Machine &machine, std::size_t i) {
-        grouped[i] =
-            reseededTrial(machine, static_cast<int>(i), 1);
+        batched[i] = reseededTrial(machine, static_cast<int>(i), 1);
     });
     stop.store(true);
     leaser.join();
 
     EXPECT_EQ(mismatches.load(), 0);
-    for (std::size_t i = 0; i < grouped.size(); ++i)
-        EXPECT_TRUE(grouped[i] == expected[i]);
+    for (std::size_t i = 0; i < batched.size(); ++i)
+        EXPECT_TRUE(batched[i] == expected[i]);
     EXPECT_GE(pool.machinesBuilt(), 2u);
 }
 
