@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "digest.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "sim/profiles.hh"
@@ -92,6 +94,37 @@ TEST(Registry, ResolvesUniquePrefixes)
     EXPECT_THROW(registry.resolve("does_not_exist"), std::runtime_error);
 }
 
+/**
+ * Golden quick-mode output: FNV-1a of each scenario's JSON rendering
+ * at seed 42, trials 2. A change that moves an entry changes that
+ * scenario's results; it must update the entry and say why.
+ */
+const std::map<std::string, std::uint64_t> kQuickDigests = {
+    {"fig03_plru_walkthrough", 0x217cf74ca18e71dc},
+    {"fig04_plru_eviction", 0x5593010d04ec38bd},
+    {"fig07_repetition_stack", 0xa47784eb72be3615},
+    {"fig08_granularity_add", 0xbe0ea57449ff86e7},
+    {"fig09_granularity_mul", 0x9451d2c6934e1120},
+    {"fig10_reorder_distribution", 0x7d38b3aaf98c912b},
+    {"fig11_arbitrary_replacement", 0xc91874495471c3f1},
+    {"fig12_arithmetic_only", 0xefba53d46e5f52b5},
+    {"fig_capacity_bound_vs_measured", 0x195d9e2d8a9644e6},
+    {"fig_channel_ber_vs_noise", 0xe34703f9d9ba6257},
+    {"fig_static_vs_dynamic", 0xd7c421e75547f502},
+    {"tab_channel_capacity", 0xea3540e4a07c0a12},
+    {"tab_channel_detector", 0xb28ce4347196404d},
+    {"tab_contention_granularity", 0x6df28e211ec9e6de},
+    {"tab_countermeasures", 0xac9a6402b11d155a},
+    {"tab_detector", 0xa9d90a0c0ab86e4b},
+    {"tab_evset", 0xc3fc2cd239c27b5a},
+    {"tab_granularity_summary", 0x26806be02718f0e9},
+    {"tab_miss_probability", 0x6363f18e5638cc30},
+    {"tab_noise_detector", 0xa91f06f0e4ab923f},
+    {"tab_noise_robustness", 0x4bd82f43020c16ab},
+    {"tab_policy_ablation", 0x8a80b84e590bc2fb},
+    {"tab_spectreback", 0x51101b78a5502f55},
+};
+
 TEST(Registry, EveryScenarioRunsQuick)
 {
     ExperimentRunner runner(quickOptions(2));
@@ -102,9 +135,25 @@ TEST(Registry, EveryScenarioRunsQuick)
         // Every former bench must produce renderable content in every
         // format, with no raw printf side channel.
         EXPECT_FALSE(result.render(Format::Table).empty());
-        EXPECT_FALSE(result.render(Format::Json).empty());
+        const std::string json = result.render(Format::Json);
+        EXPECT_FALSE(json.empty());
         EXPECT_FALSE(result.render(Format::Csv).empty());
+
+        Digest digest;
+        digest.text(json);
+        const auto golden = kQuickDigests.find(scenario->name());
+        if (golden == kQuickDigests.end()) {
+            ADD_FAILURE() << "no golden digest; add {\""
+                          << scenario->name() << "\", "
+                          << hexDigest(digest.value()) << "}";
+        } else {
+            EXPECT_EQ(hexDigest(digest.value()),
+                      hexDigest(golden->second));
+        }
     }
+    EXPECT_EQ(kQuickDigests.size(),
+              ScenarioRegistry::instance().all().size())
+        << "golden table names a scenario that no longer exists";
 }
 
 /** Same seed => bit-identical results at any --jobs count. */

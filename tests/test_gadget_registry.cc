@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 
+#include "digest.hh"
 #include "exp/sweep.hh"
 #include "gadgets/gadget_registry.hh"
 #include "gadgets/sources.hh"
@@ -112,6 +114,64 @@ TEST(GadgetRegistry, RoundTripEveryGadget)
             EXPECT_TRUE(slow.bit);
         }
     }
+}
+
+/**
+ * Golden samples: FNV-1a over the TimingSample fields (cycles, ns,
+ * bit, aux) of calibrate + four alternating fast/slow samples of each
+ * registered gadget, with quickParams, on its first compatible stock
+ * profile. A change that moves an entry changes what the gadget
+ * measures; it must update the entry and say why.
+ */
+const std::map<std::string, std::uint64_t> kSampleDigests = {
+    {"arbitrary_magnifier", 0x5498f70eea52d565},
+    {"arith_magnifier", 0x85ec530fe473e34d},
+    {"coarse_timer", 0x8ccad5722ae9a999},
+    {"hacky_pipeline", 0xc64713e97dd279a1},
+    {"hacky_timer", 0xdbadf5e8736a309d},
+    {"l1_contention", 0x0aff907a9611ef99},
+    {"pa_race", 0x8d4311661841b9f8},
+    {"plru_pa_magnifier", 0xfd14729a7a0289a5},
+    {"plru_pin_magnifier", 0x2166c17835f01745},
+    {"plru_reorder_magnifier", 0x3a5b1311490d444d},
+    {"reorder_pipeline", 0x647b1c2931321738},
+    {"reorder_race", 0xaab3159c42797211},
+    {"repetition", 0xb3c836d37e738d05},
+    {"smt_contention", 0x869ea6dc1b94c09d},
+};
+
+TEST(GadgetRegistry, GoldenSampleDigests)
+{
+    for (const GadgetInfo *info : GadgetRegistry::instance().all()) {
+        SCOPED_TRACE(info->name);
+        auto source = GadgetRegistry::instance().make(
+            info->name, quickParams(info->name));
+        auto machine = compatibleMachine(*source);
+        ASSERT_TRUE(machine != nullptr);
+        source->calibrate(*machine);
+        Digest digest;
+        for (bool secret : {false, true, false, true}) {
+            const TimingSample s = source->sample(*machine, secret);
+            digest.u64(s.cycles);
+            digest.f64(s.ns);
+            digest.u64(s.bit ? 1 : 0);
+            for (const auto &[key, value] : s.aux) {
+                digest.text(key);
+                digest.f64(value);
+            }
+        }
+        const auto golden = kSampleDigests.find(info->name);
+        if (golden == kSampleDigests.end()) {
+            ADD_FAILURE() << "no golden digest; add {\"" << info->name
+                          << "\", " << hexDigest(digest.value()) << "}";
+        } else {
+            EXPECT_EQ(hexDigest(digest.value()),
+                      hexDigest(golden->second));
+        }
+    }
+    EXPECT_EQ(kSampleDigests.size(),
+              GadgetRegistry::instance().all().size())
+        << "golden table names a gadget that no longer exists";
 }
 
 TEST(GadgetRegistry, MakeAppliesParameters)
