@@ -1,7 +1,6 @@
 /** Section 8 scenario: which defences stop which gadget. */
 
 #include "exp/registry.hh"
-#include "gadgets/plru_magnifier.hh"
 #include "gadgets/racing.hh"
 #include "util/table.hh"
 
@@ -16,16 +15,14 @@ transientPaWorks(MachineConfig mc, bool delay_on_miss)
 {
     mc.core.delayOnMiss = delay_on_miss;
     Machine machine(mc);
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 20;
-    TransientPaRace slow(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 80));
-    slow.train();
-    const bool slow_present = slow.attackAndProbe();
-    TransientPaRace fast(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 5));
-    fast.train();
-    const bool fast_present = fast.attackAndProbe();
+    PaRaceProgram slow(config, TargetExpr::opChain(Opcode::Add, 80));
+    slow.train(machine);
+    const bool slow_present = slow.attackAndProbe(machine);
+    PaRaceProgram fast(config, TargetExpr::opChain(Opcode::Add, 5));
+    fast.train(machine);
+    const bool fast_present = fast.attackAndProbe(machine);
     return slow_present && !fast_present;
 }
 
@@ -36,24 +33,18 @@ reorderWorks(bool delay_on_miss)
     MachineConfig mc = MachineConfig::plruProfile();
     mc.core.delayOnMiss = delay_on_miss;
     Machine machine(mc);
-    auto config = PlruMagnifier::makeConfig(machine, 3, 400);
-    PlruMagnifier magnifier(machine, config, PlruVariant::Reorder);
-    ReorderRaceConfig race_config;
-    race_config.addrA = config.a;
-    race_config.addrB = config.b;
-    race_config.refOps = 60;
-
-    Cycle cycles[2];
-    int i = 0;
-    for (int expr_ops : {5, 150}) {
-        magnifier.prime();
-        ReorderRace race(machine, race_config,
-                         TargetExpr::opChain(Opcode::Add, expr_ops));
-        race.run();
-        machine.settle();
-        cycles[i++] = magnifier.traverse().cycles;
-    }
-    return cycles[0] > cycles[1] + 10000;
+    ReorderRaceConfig config;
+    config.set = 3;
+    config.tagBase = 16;
+    config.readoutRepeats = 400;
+    config.refOps = 60;
+    config.fastOps = 5;
+    config.slowOps = 150;
+    ReorderRace race(config);
+    // The fast expression inserts A first, which the magnifier pins.
+    const Cycle a_first = race.sample(machine, true).cycles;
+    const Cycle b_first = race.sample(machine, false).cycles;
+    return a_first > b_first + 10000;
 }
 
 class TabCountermeasures : public Scenario

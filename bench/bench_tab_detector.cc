@@ -99,16 +99,16 @@ class TabDetector : public Scenario
                     report.name = "PLRU magnifier";
                     report.is_gadget = true;
                     Machine machine(MachineConfig::plruProfile());
-                    auto config =
-                        PlruMagnifier::makeConfig(machine, 3, 800);
-                    PlruMagnifier magnifier(machine, config,
-                                            PlruVariant::PresenceAbsence);
-                    magnifier.prime();
-                    machine.warm(config.a, 1);
+                    PlruMagnifier magnifier(PlruVariant::PresenceAbsence,
+                                            {3, 800});
+                    magnifier.prepare(machine);
+                    magnifier.forceInput(machine, true); // A present
+                    const std::vector<Addr> period =
+                        magnifier.pattern(machine);
                     ProgramBuilder builder("plru_storm");
                     RegId r = builder.movImm(0);
                     for (int rep = 0; rep < 800; ++rep)
-                        for (Addr addr : magnifier.pattern())
+                        for (Addr addr : period)
                             builder.loadOrderedInto(r, addr);
                     builder.halt();
                     Program prog = builder.take();
@@ -121,11 +121,11 @@ class TabDetector : public Scenario
                     Machine machine(ctx.machineConfig());
                     ArithMagnifierConfig config;
                     config.stages = 2000;
-                    ArithMagnifier magnifier(machine, config);
+                    ArithMagnifier magnifier(config);
                     machine.warm(config.alignAddrA, 1);
                     machine.flushLine(config.inputAddr);
                     machine.flushLine(config.syncAddr);
-                    Program prog = magnifier.program();
+                    Program prog = magnifier.program(machine);
                     report.features = Detector::profile(machine, prog);
                     break;
                   }

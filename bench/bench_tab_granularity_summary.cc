@@ -21,13 +21,13 @@ thresholdRefOps(MachinePool &pool, Opcode target_op, int target_ops,
         const int mid = (lo + hi) / 2;
         auto lease = pool.lease();
         Machine &machine = lease.machine();
-        TransientPaRaceConfig config;
+        PaRaceConfig config;
         config.refOp = ref_op;
         config.refOps = mid;
-        TransientPaRace race(machine, config,
-                             TargetExpr::opChain(target_op, target_ops));
-        race.train();
-        if (!race.attackAndProbe()) {
+        PaRaceProgram race(config,
+                           TargetExpr::opChain(target_op, target_ops));
+        race.train(machine);
+        if (!race.attackAndProbe(machine)) {
             found = mid;
             hi = mid - 1;
         } else {

@@ -55,8 +55,8 @@ class TabPolicyAblation : public Scenario
                 Machine machine(mc);
                 ArbitraryMagnifierConfig config;
                 config.repeats = repeats;
-                ArbitraryMagnifier magnifier(machine, config);
-                return machine.toUs(magnifier.measureDelta());
+                ArbitraryMagnifier magnifier(config);
+                return machine.toUs(magnifier.measureDelta(machine));
             });
 
         Table table({"policy",

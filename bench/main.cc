@@ -55,7 +55,6 @@
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
 #include "gadgets/gadget_registry.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"

@@ -37,8 +37,8 @@ EvictionSetGenerator::setupTimer(Addr target)
         if (collides)
             ++tc.plruTagBase;
     }
-    timer_ = std::make_unique<HackyTimer>(machine_, tc);
-    timer_->calibrate();
+    timer_ = std::make_unique<HackyTimer>(tc);
+    timer_->calibrate(machine_);
 }
 
 std::vector<Addr>
@@ -100,7 +100,7 @@ EvictionSetGenerator::evicts(const std::vector<Addr> &candidate_set,
     machine_.warm(target, 1);
     traverse(candidate_set);
     traverse(candidate_set);
-    return timer_->loadIsSlow(target);
+    return timer_->loadIsSlow(machine_, target);
 }
 
 EvSetResult

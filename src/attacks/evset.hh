@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "gadgets/hacky_timer.hh"
-#include "gadgets/plru_magnifier.hh"
 
 namespace hr
 {

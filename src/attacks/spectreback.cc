@@ -7,13 +7,11 @@ namespace hr
 {
 
 SpectreBack::SpectreBack(Machine &machine, const SpectreBackConfig &config)
-    : machine_(machine), config_(config), coarse_(config.timer)
+    : machine_(machine), config_(config), coarse_(config.timer),
+      magnifier_(PlruVariant::Reorder,
+                 {config.plruSet, config.magnifierRepeats,
+                  config.plruTagBase})
 {
-    magConfig_ = PlruMagnifier::makeConfig(machine_, config_.plruSet,
-                                           config_.magnifierRepeats,
-                                           config_.plruTagBase);
-    magnifier_ = std::make_unique<PlruMagnifier>(machine_, magConfig_,
-                                                 PlruVariant::Reorder);
 
     // None of the attack's working lines may alias the magnifier set.
     const auto &l1 = machine_.hierarchy().l1();
@@ -31,14 +29,13 @@ void
 SpectreBack::layoutMemory()
 {
     // Pointer chases: head -> offset line -> final (A or B) line.
+    const auto [a, b] = magnifier_.inputLines(machine_);
     machine_.poke(config_.chainHead1,
                   static_cast<std::int64_t>(config_.offset1));
-    machine_.poke(config_.offset1,
-                  static_cast<std::int64_t>(magConfig_.a));
+    machine_.poke(config_.offset1, static_cast<std::int64_t>(a));
     machine_.poke(config_.chainHead2,
                   static_cast<std::int64_t>(config_.offset2));
-    machine_.poke(config_.offset2,
-                  static_cast<std::int64_t>(magConfig_.b));
+    machine_.poke(config_.offset2, static_cast<std::int64_t>(b));
     machine_.poke(config_.sizeAddr, config_.arrayWords);
 }
 
@@ -103,7 +100,7 @@ SpectreBack::build()
 void
 SpectreBack::primeTrial()
 {
-    magnifier_->prime(); // [B,C,D,E] primed, A staged in L2
+    magnifier_.prepare(machine_); // [B,C,D,E] primed, A staged in L2
     for (Addr addr : {config_.sizeAddr, config_.chainHead1,
                       config_.chainHead2, config_.offset1,
                       config_.offset2}) {
@@ -127,7 +124,7 @@ SpectreBack::runTrialAndTime(std::int64_t x, std::int64_t shift)
 {
     machine_.run(program_, {{xReg_, x}, {shiftReg_, shift}});
     const double begin = coarse_.nowNs(machine_.now());
-    magnifier_->traverse();
+    magnifier_.traverse(machine_);
     return coarse_.nowNs(machine_.now()) - begin;
 }
 
@@ -139,13 +136,10 @@ SpectreBack::calibrate()
     thresholdNs_ = calibrateThreshold(
                        [&](bool slow) {
                            primeTrial();
-                           machine_.warm(slow ? magConfig_.a
-                                              : magConfig_.b, 1);
-                           machine_.warm(slow ? magConfig_.b
-                                              : magConfig_.a, 1);
+                           magnifier_.forceInput(machine_, slow);
                            const double begin =
                                coarse_.nowNs(machine_.now());
-                           magnifier_->traverse();
+                           magnifier_.traverse(machine_);
                            return coarse_.nowNs(machine_.now()) - begin;
                        },
                        "SpectreBack::calibrate")

@@ -84,8 +84,7 @@ class SpectreBack
     Machine &machine_;
     SpectreBackConfig config_;
     CoarseTimer coarse_;
-    PlruMagnifierConfig magConfig_;
-    std::unique_ptr<PlruMagnifier> magnifier_;
+    PlruMagnifier magnifier_;
     Program program_;
     RegId xReg_ = kNoReg;
     RegId shiftReg_ = kNoReg;

@@ -13,12 +13,13 @@
  * a finite cache.
  *
  * Works for any per-set replacement policy — that is the point.
+ * ArbitraryMagnifier is the `arbitrary_magnifier` TimingSource.
  */
 
 #ifndef HR_GADGETS_ARBITRARY_MAGNIFIER_HH
 #define HR_GADGETS_ARBITRARY_MAGNIFIER_HH
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -54,47 +55,55 @@ struct ArbitraryMagnifierConfig
     int parTagBase = 4096;        ///< tag space for PAR lines
 };
 
-/** The magnifier. Requires numSets <= the L1 set count. */
-class ArbitraryMagnifier
+/**
+ * The magnifier. Requires numSets <= the L1 set count. Its input line
+ * is PathB's head: present = aligned = fast, so an absent input (the
+ * delayed path) reads slow.
+ */
+class ArbitraryMagnifier final : public AmplifierSource
 {
   public:
-    ArbitraryMagnifier(Machine &machine,
-                       const ArbitraryMagnifierConfig &config);
+    ArbitraryMagnifier() = default;
+    explicit ArbitraryMagnifier(const ArbitraryMagnifierConfig &config)
+        : cfg_(config)
+    {
+    }
 
-    const ArbitraryMagnifierConfig &config() const { return config_; }
-    const Program &program() const { return program_; }
+    std::string name() const override { return "arbitrary_magnifier"; }
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    bool compatible(const Machine &machine) const override;
+    std::unique_ptr<TimingSource> clone() const override;
+
+    bool presentMeansSlow() const override { return false; }
+    /** Establish the initial cache state (PAR staged, SEQ resident). */
+    void prepare(Machine &machine) override;
+    std::pair<Addr, Addr> inputLines(Machine &machine) override;
+    void forceInput(Machine &machine, bool slow) override;
+    /** Re-chill the sync line, then run the traversal. */
+    Cycle amplify(Machine &machine) override;
 
     /**
      * One magnified observation: primes the initial cache state, sets
      * the input line present or absent, runs the traversal.
      * @return traversal duration in cycles.
      */
-    Cycle run(bool input_present);
+    Cycle run(Machine &machine, bool input_present);
 
     /** Cycle delta between absent and present inputs. */
-    Cycle measureDelta();
-
-    /** Address of SEQ line k of set-step position s. */
-    Addr seqAddr(int set, int k) const;
-
-    /** Establish the initial cache state (PAR staged, SEQ resident). */
-    void prime();
-
-    /**
-     * Run the traversal over the current cache state (prime() and the
-     * input line's presence/absence are the caller's business — this
-     * is the amplify step of a composed pipeline).
-     */
-    Cycle traverse();
+    Cycle measureDelta(Machine &machine);
 
   private:
-    Machine &machine_;
-    ArbitraryMagnifierConfig config_;
+    ArbitraryMagnifierConfig cfg_;
+    MachineBinding binding_;
     Program program_;
-    RegId parBaseReg_ = kNoReg;
+    Addr lineBytes_ = 0; ///< L1 line size on the bound machine
+    Addr stride_ = 0;    ///< bytes between two tags of one L1 set
 
+    void ensure(Machine &machine);
+    /** Address of SEQ line k of set-step position s. */
+    Addr seqAddr(int set, int k) const;
     Addr parAddrOffset(int set, int j) const;
-    void build();
 };
 
 } // namespace hr

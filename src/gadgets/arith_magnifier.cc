@@ -5,38 +5,60 @@
 namespace hr
 {
 
-ArithMagnifier::ArithMagnifier(Machine &machine,
-                               const ArithMagnifierConfig &config)
-    : machine_(machine), config_(config)
+std::string
+ArithMagnifier::describe() const
 {
-    const auto &core = machine_.config().core;
-    fatalIf(config_.divChain <= 0 || config_.parDivs <= 0,
+    return "arithmetic-only magnifier: divider contention chain "
+           "reaction, no cache use beyond two head loads";
+}
+
+void
+ArithMagnifier::configure(const ParamSet &params)
+{
+    cfg_.stages = static_cast<int>(params.getInt("stages", cfg_.stages));
+    cfg_.divChain =
+        static_cast<int>(params.getInt("div_chain", cfg_.divChain));
+    cfg_.parDivs = static_cast<int>(params.getInt("par_divs", cfg_.parDivs));
+    cfg_.addBuffer =
+        static_cast<int>(params.getInt("add_buffer", cfg_.addBuffer));
+    binding_ = {};
+    calibration_.reset();
+}
+
+std::unique_ptr<TimingSource>
+ArithMagnifier::clone() const
+{
+    return std::make_unique<ArithMagnifier>(cfg_);
+}
+
+void
+ArithMagnifier::ensure(Machine &machine)
+{
+    if (binding_.boundTo(machine))
+        return;
+    const auto &core = machine.config().core;
+    fatalIf(cfg_.divChain <= 0 || cfg_.parDivs <= 0,
             "ArithMagnifier: bad stage sizing");
     // Racing stages must take the same time on both paths:
     //   mulChain * latMul == divChain * latDiv.
-    mulChain_ = static_cast<int>(
-        (static_cast<Cycle>(config_.divChain) * core.fpDiv.latency) /
+    const int mul_chain = static_cast<int>(
+        (static_cast<Cycle>(cfg_.divChain) * core.fpDiv.latency) /
         core.intMul.latency);
     // Aligned case: PathA's burst occupies the divider for
     // parDivs * initInterval cycles after the racing stage; the ADD
     // buffer must outlast that so the next stage starts contention-free.
-    addBuffer_ = config_.addBuffer > 0
-                     ? config_.addBuffer
-                     : static_cast<int>(config_.parDivs *
-                                        core.fpDiv.initInterval) +
-                           static_cast<int>(core.fpDiv.latency);
-    build();
-}
+    const int add_buffer =
+        cfg_.addBuffer > 0
+            ? cfg_.addBuffer
+            : static_cast<int>(cfg_.parDivs * core.fpDiv.initInterval) +
+                  static_cast<int>(core.fpDiv.latency);
 
-void
-ArithMagnifier::build()
-{
     ProgramBuilder builder("arith_magnify");
 
-    RegId stages = builder.movImm(config_.stages);
-    RegId sync = builder.loadAbsolute(config_.syncAddr);
-    RegId head_a = builder.loadOrdered(config_.alignAddrA, sync);
-    RegId head_b = builder.loadOrdered(config_.inputAddr, sync);
+    RegId stages = builder.movImm(cfg_.stages);
+    RegId sync = builder.loadAbsolute(cfg_.syncAddr);
+    RegId head_a = builder.loadOrdered(cfg_.alignAddrA, sync);
+    RegId head_b = builder.loadOrdered(cfg_.inputAddr, sync);
 
     // Chain registers seeded once outside the loop (non-zero so the
     // div/mul chains are well-behaved); the chains are loop-carried so
@@ -47,17 +69,17 @@ ArithMagnifier::build()
     builder.chainOpImm(Opcode::Add, chain_b, 1);
 
     SeqBuilder path_a(builder);
-    for (int m = 0; m < mulChain_; ++m)
+    for (int m = 0; m < mul_chain; ++m)
         path_a.chainOpImm(Opcode::Mul, chain_a, 1);
-    for (int d = 0; d < config_.parDivs; ++d)
+    for (int d = 0; d < cfg_.parDivs; ++d)
         path_a.binopImm(Opcode::Div, chain_a, 1); // independent burst
-    for (int a = 0; a < addBuffer_; ++a)
+    for (int a = 0; a < add_buffer; ++a)
         path_a.chainOpImm(Opcode::Add, chain_a, 0);
 
     SeqBuilder path_b(builder);
-    for (int d = 0; d < config_.divChain; ++d)
+    for (int d = 0; d < cfg_.divChain; ++d)
         path_b.chainOpImm(Opcode::Div, chain_b, 1);
-    for (int a = 0; a < addBuffer_; ++a)
+    for (int a = 0; a < add_buffer; ++a)
         path_b.chainOpImm(Opcode::Add, chain_b, 0);
 
     auto top = builder.newLabel();
@@ -67,39 +89,48 @@ ArithMagnifier::build()
     builder.branch(stages, top);
     builder.halt();
     program_ = builder.take();
+    binding_.bind(machine);
+}
+
+const Program &
+ArithMagnifier::program(Machine &machine)
+{
+    ensure(machine);
+    return program_;
 }
 
 void
-ArithMagnifier::prepare()
+ArithMagnifier::prepare(Machine &machine)
 {
-    machine_.warm(config_.alignAddrA, 1);
-    machine_.flushLine(config_.syncAddr);
+    ensure(machine);
+    machine.warm(cfg_.alignAddrA, 1);
+    machine.flushLine(cfg_.syncAddr);
 }
 
-Cycle
-ArithMagnifier::traverse()
+std::pair<Addr, Addr>
+ArithMagnifier::inputLines(Machine &machine)
 {
-    RunResult result = machine_.run(program_);
-    return result.cycles();
+    ensure(machine);
+    return {cfg_.inputAddr, 0};
 }
 
-Cycle
-ArithMagnifier::run(bool input_present)
+void
+ArithMagnifier::forceInput(Machine &machine, bool slow)
 {
-    prepare();
-    if (input_present)
-        machine_.warm(config_.inputAddr, 1);
+    // Input present = PathB aligned with PathA = fast.
+    if (slow)
+        machine.flushLine(cfg_.inputAddr);
     else
-        machine_.flushLine(config_.inputAddr);
-    return traverse();
+        machine.warm(cfg_.inputAddr, 1);
 }
 
 Cycle
-ArithMagnifier::measureDelta()
+ArithMagnifier::amplify(Machine &machine)
 {
-    const Cycle fast = run(true);
-    const Cycle slow = run(false);
-    return slow > fast ? slow - fast : 0;
+    // Re-chill the sync line in case an encoder's program warmed it
+    // (prepare() is idempotent and input-preserving).
+    prepare(machine);
+    return machine.run(program_).cycles();
 }
 
 } // namespace hr

@@ -9,13 +9,14 @@
  * and nobody waits. Misaligned, the burst occupies the (not fully
  * pipelined) divider exactly when PathB's dependent DIVs need it,
  * pushing PathB later every stage — a cache-free chain reaction that no
- * cache defence can touch.
+ * cache defence can touch. ArithMagnifier is the `arith_magnifier`
+ * TimingSource.
  */
 
 #ifndef HR_GADGETS_ARITH_MAGNIFIER_HH
 #define HR_GADGETS_ARITH_MAGNIFIER_HH
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -38,44 +39,42 @@ struct ArithMagnifierConfig
     Addr alignAddrA = 0x310'0000; ///< PathA head: always present
 };
 
-/** The magnifier. MUL chain length is derived from the FU latencies. */
-class ArithMagnifier
+/**
+ * The magnifier. The MUL chain length (divChain * latDiv / latMul) is
+ * derived from the bound machine's FU latencies. Its input line is
+ * PathB's head: present = aligned = fast.
+ */
+class ArithMagnifier final : public AmplifierSource
 {
   public:
-    ArithMagnifier(Machine &machine, const ArithMagnifierConfig &config);
+    ArithMagnifier() = default;
+    explicit ArithMagnifier(const ArithMagnifierConfig &config)
+        : cfg_(config)
+    {
+    }
 
-    const ArithMagnifierConfig &config() const { return config_; }
-    const Program &program() const { return program_; }
+    std::string name() const override { return "arith_magnifier"; }
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    std::unique_ptr<TimingSource> clone() const override;
 
-    /** MULs per racing stage (divChain * latDiv / latMul). */
-    int mulChain() const { return mulChain_; }
-    /** Effective ADD buffer length. */
-    int addBuffer() const { return addBuffer_; }
+    bool presentMeansSlow() const override { return false; }
+    /** Warm PathA's head, chill the sync line (input-preserving). */
+    void prepare(Machine &machine) override;
+    std::pair<Addr, Addr> inputLines(Machine &machine) override;
+    void forceInput(Machine &machine, bool slow) override;
+    /** Re-chill the sync line, then run the racing stages. */
+    Cycle amplify(Machine &machine) override;
 
-    /** One magnified observation. @return duration in cycles. */
-    Cycle run(bool input_present);
-
-    /** Cycle delta between absent and present inputs. */
-    Cycle measureDelta();
-
-    /** Warm PathA's head, chill the sync line (before each run). */
-    void prepare();
-
-    /**
-     * Run the racing stages over the current cache state (prepare()
-     * and the input line's state are the caller's business — the
-     * amplify step of a composed pipeline).
-     */
-    Cycle traverse();
+    /** The racing-stage program for @p machine. */
+    const Program &program(Machine &machine);
 
   private:
-    Machine &machine_;
-    ArithMagnifierConfig config_;
-    int mulChain_;
-    int addBuffer_;
+    ArithMagnifierConfig cfg_;
+    MachineBinding binding_;
     Program program_;
 
-    void build();
+    void ensure(Machine &machine);
 };
 
 } // namespace hr

@@ -1,9 +1,10 @@
 /**
  * @file
- * HackyTimer: the end-to-end stealthy fine-grained timer.
+ * HackyTimer (`hacky_timer`): the end-to-end stealthy fine-grained
+ * timer.
  *
  * Composes the full pipeline of the paper: a transient P/A racing
- * gadget (section 5.1) converts "is the expression slower than the
+ * program (section 5.1) converts "is the expression slower than the
  * reference path?" into presence/absence of one line; the PLRU
  * magnifier (section 6.1) stretches that into a duration readable with
  * a 5 microsecond browser clock. The only primitives used are loads,
@@ -26,9 +27,9 @@ namespace hr
 /** HackyTimer configuration. */
 struct HackyTimerConfig
 {
-    TimerConfig timer;          ///< the coarse clock available
+    TimerConfig timer;          ///< the coarse clock (ghz: the machine's)
     Opcode refOp = Opcode::Mul; ///< reference path operation
-    int refOps = 10;            ///< reference path length (threshold)
+    int refOps = 12;            ///< reference path length (threshold)
     int magnifierRepeats = 0;   ///< 0 = auto from timer resolution
     int plruSet = 3;            ///< L1 set used by the magnifier
     int plruTagBase = 600;      ///< tag space for the magnifier lines
@@ -48,23 +49,33 @@ struct HackyTimerStats
  * A one-shot comparator: "did this load take longer than the reference
  * path?" — which, with a suitable refOps, distinguishes an L1 hit from
  * an LLC hit or miss. Requires a machine with a 4-way tree-PLRU L1.
+ *
+ * As a TimingSource, sample() times a scratch line that is cold
+ * (secret) or L1-resident, calibrating first if needed.
  */
-class HackyTimer
+class HackyTimer final : public TimingSource
 {
   public:
-    HackyTimer(Machine &machine, const HackyTimerConfig &config);
+    HackyTimer() = default;
+    explicit HackyTimer(const HackyTimerConfig &config) : cfg_(config) {}
 
-    const HackyTimerConfig &config() const { return config_; }
     const HackyTimerStats &stats() const { return stats_; }
+
+    std::string name() const override { return "hacky_timer"; }
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    bool compatible(const Machine &machine) const override;
 
     /**
      * Calibrate the coarse-time decision threshold by timing the
      * magnifier in both known states (attacker-feasible: they control
      * a scratch line's cache state).
      */
-    void calibrate();
+    void calibrate(Machine &machine) override;
+    TimingSample sample(Machine &machine, bool secret) override;
+    std::unique_ptr<TimingSource> clone() const override;
 
-    /** Threshold (ns of magnifier time) separating slow from fast. */
+    /** Threshold (ns of magnifier time); negative until calibrated. */
     double thresholdNs() const { return thresholdNs_; }
 
     /**
@@ -73,27 +84,27 @@ class HackyTimer
      * The target line is warmed as a side effect (the measurement
      * loads it), as with any timed reload.
      */
-    bool loadIsSlow(Addr target);
+    bool loadIsSlow(Machine &machine, Addr target);
 
     /**
      * Same measurement but for an arbitrary expression baked into its
      * own racing program (trains the new program's branch each call).
      */
-    bool exprIsSlow(const TargetExpr &expr);
+    bool exprIsSlow(Machine &machine, const TargetExpr &expr);
 
   private:
-    Machine &machine_;
-    HackyTimerConfig config_;
-    CoarseTimer coarse_;
-    PlruMagnifierConfig magConfig_;
-    std::unique_ptr<PlruMagnifier> magnifier_;
-    std::unique_ptr<TransientPaRace> race_;
+    HackyTimerConfig cfg_;
+    MachineBinding binding_;
+    std::unique_ptr<CoarseTimer> clock_;
+    PlruMagnifier magnifier_{PlruVariant::PresenceAbsence};
+    std::unique_ptr<PaRaceProgram> race_;
     double thresholdNs_ = -1.0;
     HackyTimerStats stats_;
 
-    int autoRepeats() const;
-    double magnifyAndTime();
-    bool decide(double observed_ns);
+    void ensure(Machine &machine);
+    PaRaceConfig raceConfig(Machine &machine);
+    double magnifyAndTime(Machine &machine);
+    bool decide(double observed_ns) const;
 };
 
 } // namespace hr

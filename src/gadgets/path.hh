@@ -56,7 +56,7 @@ struct TargetExpr
 
     /**
      * A single load whose address arrives in @p addr_reg at run time
-     * (see TransientPaRace::kArgReg). Lets the same trained program
+     * (see PaRaceProgram::kArgReg). Lets the same trained program
      * time different addresses — the timer primitive of section 7.4.
      */
     static TargetExpr loadIndirect(RegId addr_reg);

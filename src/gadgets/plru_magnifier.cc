@@ -5,27 +5,94 @@
 namespace hr
 {
 
-PlruMagnifier::PlruMagnifier(Machine &machine,
-                             const PlruMagnifierConfig &config,
-                             PlruVariant variant)
-    : machine_(machine), config_(config), variant_(variant)
+namespace
 {
-    const auto &l1 = machine_.hierarchy().l1().config();
+
+enum Line
+{
+    kA,
+    kB,
+    kC,
+    kD,
+    kE,
+};
+
+} // namespace
+
+std::string
+PlruMagnifier::name() const
+{
+    return variant_ == PlruVariant::PresenceAbsence
+               ? "plru_pa_magnifier"
+               : "plru_reorder_magnifier";
+}
+
+std::string
+PlruMagnifier::describe() const
+{
+    return variant_ == PlruVariant::PresenceAbsence
+               ? "W=4 tree-PLRU magnifier: presence of line A "
+                 "pins a miss-per-period traversal"
+               : "W=4 tree-PLRU magnifier: A-before-B insertion "
+                 "order pins a miss-per-period traversal";
+}
+
+void
+PlruMagnifier::configure(const ParamSet &params)
+{
+    cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
+    cfg_.repeats = static_cast<int>(params.getInt("repeats", cfg_.repeats));
+    cfg_.tagBase =
+        static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
+    binding_ = {};
+    calibration_.reset();
+}
+
+bool
+PlruMagnifier::compatible(const Machine &machine) const
+{
+    return hasPlruL1(machine) &&
+           cfg_.set < machine.hierarchy().l1().config().numSets;
+}
+
+std::unique_ptr<TimingSource>
+PlruMagnifier::clone() const
+{
+    return std::make_unique<PlruMagnifier>(variant_, cfg_);
+}
+
+void
+PlruMagnifier::ensure(Machine &machine)
+{
+    if (binding_.boundTo(machine))
+        return;
+    const auto &l1 = machine.hierarchy().l1().config();
     fatalIf(l1.assoc != 4,
             "PlruMagnifier implements the paper's W=4 pattern; "
             "configure a 4-way L1 (see MachineConfig) or use "
-            "PlruPinPatternFinder for other associativities");
+            "plru_pin_magnifier for other associativities");
     fatalIf(l1.policy != PolicyKind::TreePlru,
             "PlruMagnifier requires a tree-PLRU L1");
-    const Addr line = ~static_cast<Addr>(l1.lineBytes - 1);
-    const int set = machine_.hierarchy().l1().setIndex(config_.a);
-    for (Addr addr : {config_.b, config_.c, config_.d, config_.e}) {
-        fatalIf(machine_.hierarchy().l1().setIndex(addr) != set,
-                "PlruMagnifier: lines must map to one L1 set");
-        fatalIf((addr & line) == (config_.a & line),
-                "PlruMagnifier: lines must be distinct");
-    }
-    buildTraverseProgram();
+    lines_ = sameSetLines(machine, cfg_.set, 5, cfg_.tagBase);
+
+    ProgramBuilder builder(variant_ == PlruVariant::PresenceAbsence
+                               ? "plru_magnify_pa"
+                               : "plru_magnify_reorder");
+    RegId r = builder.movImm(0);
+    const auto pattern = period();
+    for (int rep = 0; rep < cfg_.repeats; ++rep)
+        for (Addr addr : pattern)
+            builder.loadOrderedInto(r, addr);
+    builder.halt();
+    traverse_ = builder.take();
+    binding_.bind(machine);
+}
+
+const std::vector<Addr> &
+PlruMagnifier::lines(Machine &machine)
+{
+    ensure(machine);
+    return lines_;
 }
 
 std::vector<Addr>
@@ -47,89 +114,91 @@ PlruMagnifier::sameSetLines(const Machine &machine, int set_index,
     return out;
 }
 
-PlruMagnifierConfig
-PlruMagnifier::makeConfig(const Machine &machine, int set_index,
-                          int repeats, int tag_base)
+std::vector<Addr>
+PlruMagnifier::pattern(Machine &machine)
 {
-    auto lines = sameSetLines(machine, set_index, 5, tag_base);
-    PlruMagnifierConfig config;
-    config.a = lines[0];
-    config.b = lines[1];
-    config.c = lines[2];
-    config.d = lines[3];
-    config.e = lines[4];
-    config.repeats = repeats;
-    return config;
+    ensure(machine);
+    return period();
 }
 
 std::vector<Addr>
-PlruMagnifier::pattern() const
+PlruMagnifier::period() const
 {
-    if (variant_ == PlruVariant::PresenceAbsence) {
-        return {config_.b, config_.c, config_.e,
-                config_.c, config_.d, config_.c};
-    }
-    return {config_.c, config_.e, config_.c,
-            config_.d, config_.c, config_.b};
+    const auto &l = lines_;
+    if (variant_ == PlruVariant::PresenceAbsence)
+        return {l[kB], l[kC], l[kE], l[kC], l[kD], l[kC]};
+    return {l[kC], l[kE], l[kC], l[kD], l[kC], l[kB]};
 }
 
 void
-PlruMagnifier::prime()
+PlruMagnifier::prepare(Machine &machine)
 {
+    ensure(machine);
     // Clear the five lines everywhere, then establish Fig. 3(1):
     // ways [B,C,D,E], tree = (0,0,1) => eviction candidate B.
-    for (Addr addr : {config_.a, config_.b, config_.c, config_.d,
-                      config_.e}) {
-        machine_.flushLine(addr);
-    }
-    machine_.warm(config_.b, 1);
-    machine_.warm(config_.c, 1);
-    machine_.warm(config_.d, 1);
-    machine_.warm(config_.e, 1);
-    machine_.warm(config_.d, 1); // extra touch flips the right subtree
+    for (Addr addr : lines_)
+        machine.flushLine(addr);
+    machine.warm(lines_[kB], 1);
+    machine.warm(lines_[kC], 1);
+    machine.warm(lines_[kD], 1);
+    machine.warm(lines_[kE], 1);
+    machine.warm(lines_[kD], 1); // extra touch flips the right subtree
     // Stage A in L2 so the racing access fills L1 quickly.
-    machine_.warm(config_.a, 2);
+    machine.warm(lines_[kA], 2);
+}
+
+std::pair<Addr, Addr>
+PlruMagnifier::inputLines(Machine &machine)
+{
+    ensure(machine);
+    return {lines_[kA], lines_[kB]};
+}
+
+void
+PlruMagnifier::forceInput(Machine &machine, bool slow)
+{
+    ensure(machine);
+    if (variant_ == PlruVariant::PresenceAbsence) {
+        // Slow: A present (fetched into L1). Fast: A stays in L2.
+        if (slow)
+            machine.warm(lines_[kA], 1);
+        return;
+    }
+    // Reorder: slow iff A is inserted before B.
+    machine.warm(slow ? lines_[kA] : lines_[kB], 1);
+    machine.warm(slow ? lines_[kB] : lines_[kA], 1);
+}
+
+Cycle
+PlruMagnifier::amplify(Machine &machine)
+{
+    return traverse(machine).cycles;
 }
 
 Program
-PlruMagnifier::buildPrimeProgram() const
+PlruMagnifier::primeProgram(Machine &machine)
 {
-    // The attacker-realistic version of prime(): a serial load chain
+    // The attacker-realistic version of prepare(): a serial load chain
     // B, C, D, E, D (order guarantees the fills land in way order and
     // the final D touch sets the right-subtree pointer).
+    const auto &l = lines(machine);
     ProgramBuilder builder("plru_prime");
     RegId r = builder.movImm(0);
-    for (Addr addr : {config_.b, config_.c, config_.d, config_.e,
-                      config_.d}) {
+    for (Addr addr : {l[kB], l[kC], l[kD], l[kE], l[kD]})
         r = builder.loadOrdered(addr, r);
-    }
     builder.halt();
     return builder.take();
 }
 
-void
-PlruMagnifier::buildTraverseProgram()
-{
-    ProgramBuilder builder(variant_ == PlruVariant::PresenceAbsence
-                               ? "plru_magnify_pa"
-                               : "plru_magnify_reorder");
-    RegId r = builder.movImm(0);
-    const auto period = pattern();
-    for (int rep = 0; rep < config_.repeats; ++rep)
-        for (Addr addr : period)
-            builder.loadOrderedInto(r, addr);
-    builder.halt();
-    traverseProgram_ = builder.take();
-}
-
 MagnifierResult
-PlruMagnifier::traverse()
+PlruMagnifier::traverse(Machine &machine)
 {
-    const std::uint64_t misses_before = machine_.cacheMisses(1);
-    RunResult run = machine_.run(traverseProgram_);
+    ensure(machine);
+    const std::uint64_t misses_before = machine.cacheMisses(1);
+    RunResult run = machine.run(traverse_);
     MagnifierResult result;
     result.cycles = run.cycles();
-    result.l1Misses = machine_.cacheMisses(1) - misses_before;
+    result.l1Misses = machine.cacheMisses(1) - misses_before;
     return result;
 }
 

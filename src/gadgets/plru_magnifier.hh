@@ -1,6 +1,7 @@
 /**
  * @file
- * Tree-PLRU magnifier gadgets (paper sections 6.1 and 6.2).
+ * Tree-PLRU magnifier gadgets (paper sections 6.1 and 6.2):
+ * `plru_pa_magnifier` and `plru_reorder_magnifier`, one class.
  *
  * Both exploit the same property of tree-PLRU (Fig. 3): if the line A
  * is resident (P/A variant) or was inserted before B (reorder variant),
@@ -15,7 +16,7 @@
 
 #include <vector>
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -27,15 +28,12 @@ enum class PlruVariant
     Reorder,         ///< section 6.2: pattern (C,E,C,D,C,B)
 };
 
-/** Configuration: five distinct lines mapping to one L1 set. */
+/** Configuration: five distinct lines A..E mapping to one L1 set. */
 struct PlruMagnifierConfig
 {
-    Addr a = 0; ///< the transmitted line ("A" in Fig. 3)
-    Addr b = 0;
-    Addr c = 0;
-    Addr d = 0;
-    Addr e = 0;
+    int set = 3;       ///< the L1 set the five lines map to
     int repeats = 500; ///< pattern periods per traversal
+    int tagBase = 16;  ///< tag of line A; B..E take the next four
 };
 
 /** Result of one magnified observation. */
@@ -46,35 +44,50 @@ struct MagnifierResult
 };
 
 /**
- * The PLRU magnifier. Requires a 4-way L1 (the paper's W = 4 example;
- * use MachineConfig with a 4-way L1, e.g. plruProfile()). For other
- * associativities see PlruPinPatternFinder.
+ * The PLRU magnifier. Requires a 4-way tree-PLRU L1 (the paper's W = 4
+ * example, e.g. the `plru` profile); PlruPinMagnifier covers other
+ * associativities. Its input line(s) are A (P/A), or A then B (reorder).
  */
-class PlruMagnifier
+class PlruMagnifier final : public AmplifierSource
 {
   public:
-    PlruMagnifier(Machine &machine, const PlruMagnifierConfig &config,
-                  PlruVariant variant);
+    explicit PlruMagnifier(PlruVariant variant,
+                           const PlruMagnifierConfig &config = {})
+        : variant_(variant), cfg_(config)
+    {
+    }
 
-    const PlruMagnifierConfig &config() const { return config_; }
+    const PlruMagnifierConfig &config() const { return cfg_; }
+
+    std::string name() const override;
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    bool compatible(const Machine &machine) const override;
+    std::unique_ptr<TimingSource> clone() const override;
 
     /**
      * Establish the Fig. 3(1) initial state: the set holds {B,C,D,E}
      * with the tree pointing at B; A is staged in L2 (so the racing
      * gadget's access to it resolves quickly and deterministically).
-     * Uses instant warm() calls — see buildPrimeProgram() for the
+     * Uses instant warm() calls — see primeProgram() for the
      * attacker-realistic equivalent.
      */
-    void prime();
+    void prepare(Machine &machine) override;
+    std::pair<Addr, Addr> inputLines(Machine &machine) override;
+    void forceInput(Machine &machine, bool slow) override;
+    Cycle amplify(Machine &machine) override;
 
-    /** Load-based priming program (what real attacker code runs). */
-    Program buildPrimeProgram() const;
+    /** Lines A..E on @p machine. */
+    const std::vector<Addr> &lines(Machine &machine);
 
     /** Run the access pattern `repeats` times and time it. */
-    MagnifierResult traverse();
+    MagnifierResult traverse(Machine &machine);
 
     /** The per-period access pattern (addresses). */
-    std::vector<Addr> pattern() const;
+    std::vector<Addr> pattern(Machine &machine);
+
+    /** Load-based priming program (what real attacker code runs). */
+    Program primeProgram(Machine &machine);
 
     /**
      * Pick `count` distinct line addresses mapping to L1 set
@@ -84,18 +97,15 @@ class PlruMagnifier
                                           int set_index, int count,
                                           int tag_base = 16);
 
-    /** Convenience: build a config from consecutive same-set lines. */
-    static PlruMagnifierConfig makeConfig(const Machine &machine,
-                                          int set_index, int repeats,
-                                          int tag_base = 16);
-
   private:
-    Machine &machine_;
-    PlruMagnifierConfig config_;
     PlruVariant variant_;
-    Program traverseProgram_;
+    PlruMagnifierConfig cfg_;
+    MachineBinding binding_;
+    std::vector<Addr> lines_; ///< A, B, C, D, E
+    Program traverse_;
 
-    void buildTraverseProgram();
+    void ensure(Machine &machine);
+    std::vector<Addr> period() const;
 };
 
 } // namespace hr

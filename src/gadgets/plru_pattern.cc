@@ -5,6 +5,7 @@
 #include <optional>
 #include <queue>
 
+#include "gadgets/plru_magnifier.hh"
 #include "util/log.hh"
 
 namespace hr
@@ -281,6 +282,116 @@ validatePinPattern(int assoc, const PinPattern &pattern, int periods)
             last_period_misses += without_a.access(line) ? 1 : 0;
     }
     return last_period_misses == 0;
+}
+
+std::string
+PlruPinMagnifier::describe() const
+{
+    return "tree-PLRU magnifier with a search-derived pin pattern "
+           "(works for any power-of-two associativity)";
+}
+
+void
+PlruPinMagnifier::configure(const ParamSet &params)
+{
+    cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
+    cfg_.repeats = static_cast<int>(params.getInt("repeats", cfg_.repeats));
+    cfg_.tagBase =
+        static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
+    cfg_.maxLen = static_cast<int>(params.getInt("max_len", cfg_.maxLen));
+    binding_ = {};
+    calibration_.reset();
+}
+
+bool
+PlruPinMagnifier::compatible(const Machine &machine) const
+{
+    const auto &l1 = machine.hierarchy().l1().config();
+    if (l1.policy != PolicyKind::TreePlru || l1.assoc < 4 ||
+        (l1.assoc & (l1.assoc - 1)) != 0 || cfg_.set >= l1.numSets) {
+        return false;
+    }
+    return patternFor(l1.assoc).has_value();
+}
+
+std::unique_ptr<TimingSource>
+PlruPinMagnifier::clone() const
+{
+    return std::make_unique<PlruPinMagnifier>(cfg_);
+}
+
+const std::optional<PinPattern> &
+PlruPinMagnifier::patternFor(int assoc) const
+{
+    if (patternAssoc_ != assoc || patternMaxLen_ != cfg_.maxLen) {
+        pattern_ = findPinPattern(assoc, cfg_.maxLen);
+        patternAssoc_ = assoc;
+        patternMaxLen_ = cfg_.maxLen;
+    }
+    return pattern_;
+}
+
+void
+PlruPinMagnifier::ensure(Machine &machine)
+{
+    if (binding_.boundTo(machine))
+        return;
+    const int assoc = machine.hierarchy().l1().config().assoc;
+    const auto &pattern = patternFor(assoc);
+    fatalIf(!pattern, "plru_pin_magnifier: no pin pattern for W=" +
+                          std::to_string(assoc));
+    // Line ids 0 (pinned) .. W+1 (the search alphabet's spare).
+    lines_ = PlruMagnifier::sameSetLines(machine, cfg_.set, assoc + 2,
+                                         cfg_.tagBase);
+    ProgramBuilder builder("plru_pin_magnify");
+    RegId r = builder.movImm(0);
+    for (int line : pattern->leadIn)
+        builder.loadOrderedInto(r, lines_[static_cast<std::size_t>(line)]);
+    for (int rep = 0; rep < cfg_.repeats; ++rep)
+        for (int line : pattern->accesses)
+            builder.loadOrderedInto(
+                r, lines_[static_cast<std::size_t>(line)]);
+    builder.halt();
+    program_ = builder.take();
+    binding_.bind(machine);
+}
+
+void
+PlruPinMagnifier::prepare(Machine &machine)
+{
+    ensure(machine);
+    // The canonical base state of findPinPattern: lines 1..W fill the
+    // set in way order, the last-but-one fill gets an extra touch; the
+    // pinned line 0 is staged in L2.
+    for (Addr addr : lines_)
+        machine.flushLine(addr);
+    const int assoc = machine.hierarchy().l1().config().assoc;
+    for (int line = 1; line <= assoc; ++line)
+        machine.warm(lines_[static_cast<std::size_t>(line)], 1);
+    machine.warm(lines_[static_cast<std::size_t>(assoc - 1)], 1);
+    machine.warm(lines_[0], 2);
+}
+
+std::pair<Addr, Addr>
+PlruPinMagnifier::inputLines(Machine &machine)
+{
+    ensure(machine);
+    return {lines_[0], 0};
+}
+
+void
+PlruPinMagnifier::forceInput(Machine &machine, bool slow)
+{
+    ensure(machine);
+    if (slow)
+        machine.warm(lines_[0], 1);
+}
+
+Cycle
+PlruPinMagnifier::amplify(Machine &machine)
+{
+    ensure(machine);
+    return machine.run(program_).cycles();
 }
 
 } // namespace hr

@@ -9,7 +9,8 @@
  * (a) never evicts the pinned line, (b) returns the set to its starting
  * state, and (c) misses at least once per period. This supports the
  * paper's argument (section 9) that removing W = 4 PLRU caches "will
- * only cause the attacker to change strategy".
+ * only cause the attacker to change strategy". PlruPinMagnifier
+ * (`plru_pin_magnifier`) is the magnifier built on such a pattern.
  */
 
 #ifndef HR_GADGETS_PLRU_PATTERN_HH
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "cache/replacement.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -99,6 +101,56 @@ std::optional<PinPattern> findPinPattern(int assoc, int max_len = 16);
  */
 bool validatePinPattern(int assoc, const PinPattern &pattern,
                         int periods = 50);
+
+/** Configuration of the pin-pattern magnifier. */
+struct PlruPinMagnifierConfig
+{
+    int set = 3;       ///< the L1 set the W + 2 lines map to
+    int repeats = 500; ///< pattern periods per traversal
+    int tagBase = 16;  ///< tag of the pinned line; the rest follow
+    int maxLen = 16;   ///< longest period findPinPattern may try
+};
+
+/**
+ * `plru_pin_magnifier`: the tree-PLRU magnifier generalized to any
+ * power-of-two associativity >= 4 through a findPinPattern() pattern.
+ * Its input is the pinned line (line 0): present reads slow.
+ */
+class PlruPinMagnifier final : public AmplifierSource
+{
+  public:
+    PlruPinMagnifier() = default;
+    explicit PlruPinMagnifier(const PlruPinMagnifierConfig &config)
+        : cfg_(config)
+    {
+    }
+
+    std::string name() const override { return "plru_pin_magnifier"; }
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    bool compatible(const Machine &machine) const override;
+    std::unique_ptr<TimingSource> clone() const override;
+
+    void prepare(Machine &machine) override;
+    std::pair<Addr, Addr> inputLines(Machine &machine) override;
+    void forceInput(Machine &machine, bool slow) override;
+    Cycle amplify(Machine &machine) override;
+
+  private:
+    PlruPinMagnifierConfig cfg_;
+    MachineBinding binding_;
+    std::vector<Addr> lines_;
+    Program program_;
+    // The BFS pattern search depends only on (assoc, maxLen); cache it
+    // so compatible() probes and per-machine rebuilds don't re-run it
+    // (mutable: compatible() is const).
+    mutable std::optional<PinPattern> pattern_;
+    mutable int patternAssoc_ = -1;
+    mutable int patternMaxLen_ = -1;
+
+    const std::optional<PinPattern> &patternFor(int assoc) const;
+    void ensure(Machine &machine);
+};
 
 } // namespace hr
 

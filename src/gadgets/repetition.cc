@@ -24,43 +24,36 @@ StageBreakdown::percent(std::size_t stage) const
            static_cast<double>(sum);
 }
 
-RepetitionGadget::RepetitionGadget(Machine &machine,
-                                   std::vector<Stage> stages)
-    : machine_(machine), stages_(std::move(stages))
-{
-    fatalIf(stages_.empty(), "RepetitionGadget: no stages");
-}
-
 StageBreakdown
-RepetitionGadget::run(int rounds)
+runStages(Machine &machine, std::vector<RepetitionStage> &stages,
+          int rounds)
 {
+    fatalIf(stages.empty(), "runStages: no stages");
     StageBreakdown breakdown;
-    for (const auto &stage : stages_)
+    for (const auto &stage : stages)
         breakdown.names.push_back(stage.name);
-    breakdown.cycles.assign(stages_.size(), 0);
+    breakdown.cycles.assign(stages.size(), 0);
 
     for (int round = 0; round < rounds; ++round) {
-        for (std::size_t s = 0; s < stages_.size(); ++s) {
-            if (stages_[s].setup)
-                stages_[s].setup(machine_);
-            RunResult result = machine_.run(stages_[s].program);
+        for (std::size_t s = 0; s < stages.size(); ++s) {
+            if (stages[s].setup)
+                stages[s].setup(machine);
+            RunResult result = machine.run(stages[s].program);
             breakdown.cycles[s] += result.cycles();
         }
     }
     return breakdown;
 }
 
-RepetitionGadget
-makeFlushReloadGadget(Machine &machine, const FlushReloadStages &stages,
-                      bool same_addr, bool racing)
+std::vector<RepetitionStage>
+Repetition::stages(bool same_addr) const
 {
-    const Addr victim_addr =
-        same_addr ? stages.probeAddr : stages.otherAddr;
+    const Addr victim_addr = same_addr ? cfg_.probeAddr : cfg_.otherAddr;
 
     // Stage 1: evict — flush the probe line (an eviction-set traversal
     // in a browser; modelled by the clflush-like harness primitive so
     // the stage itself has constant cost).
-    RepetitionGadget::Stage evict;
+    RepetitionStage evict;
     evict.name = "evict";
     {
         ProgramBuilder builder("fr_evict");
@@ -69,18 +62,18 @@ makeFlushReloadGadget(Machine &machine, const FlushReloadStages &stages,
         builder.halt();
         evict.program = builder.take();
     }
-    evict.setup = [probe = stages.probeAddr](Machine &m) {
+    evict.setup = [probe = cfg_.probeAddr](Machine &m) {
         m.flushLine(probe);
     };
 
     // Stage 2: load — the victim's access (same or different line).
-    RepetitionGadget::Stage load;
+    RepetitionStage load;
     load.name = "load";
-    if (racing) {
+    if (cfg_.racing) {
         load.program = makeConstantTimeStage(
             TargetExpr::loadLatency(victim_addr), Opcode::Add,
-            stages.envelopeOps, stages.syncAddr, "fr_load_raced");
-        load.setup = [sync = stages.syncAddr](Machine &m) {
+            cfg_.envelopeOps, cfg_.syncAddr, "fr_load_raced");
+        load.setup = [sync = cfg_.syncAddr](Machine &m) {
             m.flushLine(sync);
         };
     } else {
@@ -91,17 +84,79 @@ makeFlushReloadGadget(Machine &machine, const FlushReloadStages &stages,
     }
 
     // Stage 3: reload — the attacker's probe access.
-    RepetitionGadget::Stage reload;
+    RepetitionStage reload;
     reload.name = "reload";
     {
         ProgramBuilder builder("fr_reload");
-        builder.loadAbsolute(stages.probeAddr);
+        builder.loadAbsolute(cfg_.probeAddr);
         builder.halt();
         reload.program = builder.take();
     }
 
-    return RepetitionGadget(machine, {std::move(evict), std::move(load),
-                                      std::move(reload)});
+    std::vector<RepetitionStage> out;
+    out.push_back(std::move(evict));
+    out.push_back(std::move(load));
+    out.push_back(std::move(reload));
+    return out;
+}
+
+std::string
+Repetition::describe() const
+{
+    return "flush+reload repetition rounds; racing=0 shows the "
+           "paper's cancellation failure, racing=1 the fix";
+}
+
+void
+Repetition::configure(const ParamSet &params)
+{
+    cfg_.rounds = static_cast<int>(params.getInt("rounds", cfg_.rounds));
+    cfg_.racing = params.getBool("racing", cfg_.racing);
+    cfg_.envelopeOps =
+        static_cast<int>(params.getInt("envelope_ops", cfg_.envelopeOps));
+    calibration_.reset();
+}
+
+void
+Repetition::calibrate(Machine &machine)
+{
+    // Lenient: with racing=0 the two states are *designed* to be
+    // inseparable (that is the paper's point).
+    calibration_.set(calibrateThresholdLenient([&](bool slow) {
+                         return observe(machine, slow).ns;
+                     }),
+                     machine);
+}
+
+TimingSample
+Repetition::sample(Machine &machine, bool secret)
+{
+    TimingSample s = observe(machine, secret);
+    s.bit = calibration_.isSlow(machine, s.ns);
+    return s;
+}
+
+std::unique_ptr<TimingSource>
+Repetition::clone() const
+{
+    return std::make_unique<Repetition>(cfg_);
+}
+
+TimingSample
+Repetition::observe(Machine &machine, bool secret)
+{
+    // secret (slow observable): the victim touches a *different* line,
+    // so every reload stage misses.
+    machine.warm(cfg_.otherAddr, 1);
+    std::vector<RepetitionStage> round = stages(/*same_addr=*/!secret);
+    const StageBreakdown breakdown = runStages(machine, round, cfg_.rounds);
+    TimingSample s;
+    s.cycles = breakdown.total();
+    s.ns = machine.toNs(s.cycles);
+    for (std::size_t i = 0; i < breakdown.names.size(); ++i)
+        s.aux.emplace_back(breakdown.names[i],
+                           static_cast<double>(breakdown.cycles[i]));
+    return s;
 }
 
 Program

@@ -1,6 +1,6 @@
 /**
  * @file
- * Repetition gadgets (paper sections 2.3 and 7.1).
+ * The repetition gadget (paper sections 2.3 and 7.1).
  *
  * A repetition gadget runs a staged attack many times, accumulating the
  * per-stage timing so the total becomes visible to a coarse timer. The
@@ -14,11 +14,12 @@
 #ifndef HR_GADGETS_REPETITION_HH
 #define HR_GADGETS_REPETITION_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "gadgets/path.hh"
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -34,30 +35,20 @@ struct StageBreakdown
     double percent(std::size_t stage) const;
 };
 
-/**
- * Runs a sequence of stage programs round-robin for a number of rounds,
- * accumulating per-stage cycles.
- */
-class RepetitionGadget
+/** One stage of a repetition round. */
+struct RepetitionStage
 {
-  public:
-    /** Stage: a program plus a per-round setup hook (may be empty). */
-    struct Stage
-    {
-        std::string name;
-        Program program;
-        std::function<void(Machine &)> setup; ///< run before each round
-    };
-
-    RepetitionGadget(Machine &machine, std::vector<Stage> stages);
-
-    /** Execute `rounds` rounds; returns accumulated per-stage cycles. */
-    StageBreakdown run(int rounds);
-
-  private:
-    Machine &machine_;
-    std::vector<Stage> stages_;
+    std::string name;
+    Program program;
+    std::function<void(Machine &)> setup; ///< run before each round
 };
+
+/**
+ * Run @p stages round-robin for @p rounds rounds (each stage's setup
+ * hook, if any, then its program), accumulating per-stage cycles.
+ */
+StageBreakdown runStages(Machine &machine,
+                         std::vector<RepetitionStage> &stages, int rounds);
 
 /**
  * Wrap a payload expression in a constant-time racing envelope: the
@@ -69,9 +60,11 @@ Program makeConstantTimeStage(const TargetExpr &payload, Opcode ref_op,
                               int ref_ops, Addr sync_addr,
                               const std::string &name = "const_stage");
 
-/** Line layout of the flush+reload round (paper section 7.1, Fig. 7). */
-struct FlushReloadStages
+/** Configuration of the flush+reload round (section 7.1, Fig. 7). */
+struct RepetitionConfig
 {
+    int rounds = 200;            ///< rounds accumulated per observation
+    bool racing = true;          ///< hide the load stage in an envelope
     Addr probeAddr = 0x600'0000; ///< the shared line being probed
     Addr otherAddr = 0x608'0000; ///< victim's alternative (kept warm)
     Addr syncAddr = 0x100'0000;  ///< for the racing envelope
@@ -79,13 +72,34 @@ struct FlushReloadStages
 };
 
 /**
- * Build the evict / victim-load / reload repetition gadget of Fig. 7.
- * @p same_addr selects which line the victim stage touches; @p racing
- * hides the load stage inside a constant-time racing envelope.
+ * `repetition`: the evict / victim-load / reload repetition gadget of
+ * Fig. 7. secret == false: the victim loads the probe line itself;
+ * secret == true: it loads a different line, so every reload misses.
+ * A sample's cycles are the total over all rounds and its aux carries
+ * the per-stage breakdown ("evict", "load", "reload"). With racing off
+ * the load stage's anti-correlated timing cancels the signal (the
+ * paper's failure case); with racing on it is constant-time.
  */
-RepetitionGadget makeFlushReloadGadget(Machine &machine,
-                                       const FlushReloadStages &stages,
-                                       bool same_addr, bool racing);
+class Repetition final : public TimingSource
+{
+  public:
+    Repetition() = default;
+    explicit Repetition(const RepetitionConfig &config) : cfg_(config) {}
+
+    std::string name() const override { return "repetition"; }
+    std::string describe() const override;
+    void configure(const ParamSet &params) override;
+    void calibrate(Machine &machine) override;
+    TimingSample sample(Machine &machine, bool secret) override;
+    std::unique_ptr<TimingSource> clone() const override;
+
+  private:
+    RepetitionConfig cfg_;
+    MachineCalibration calibration_;
+
+    TimingSample observe(Machine &machine, bool secret);
+    std::vector<RepetitionStage> stages(bool same_addr) const;
+};
 
 } // namespace hr
 

@@ -18,1061 +18,6 @@ namespace hr
 namespace
 {
 
-/** Parse an opcode parameter ("add", "mul", "div", "lea", "sub"). */
-Opcode
-opcodeParam(const ParamSet &params, const std::string &key, Opcode def)
-{
-    const std::string v = params.get(key, "");
-    if (v.empty())
-        return def;
-    if (v == "add")
-        return Opcode::Add;
-    if (v == "sub")
-        return Opcode::Sub;
-    if (v == "mul")
-        return Opcode::Mul;
-    if (v == "div")
-        return Opcode::Div;
-    if (v == "lea")
-        return Opcode::Lea;
-    fatal("parameter " + key + ": unknown opcode '" + v +
-          "' (use add, sub, mul, div, or lea)");
-}
-
-/** Which machine a lazily-bound adapter last built its gadget for. */
-struct MachineBinding
-{
-    Machine *machine = nullptr;
-    std::uint64_t serial = 0;
-
-    /** @return true if the binding changed (the caller must rebuild). */
-    bool
-    rebind(Machine &m)
-    {
-        if (machine == &m && serial == m.serial())
-            return false;
-        machine = &m;
-        serial = m.serial();
-        return true;
-    }
-};
-
-/** True iff the machine has the paper's 4-way tree-PLRU L1. */
-bool
-hasPlruL1(const Machine &machine)
-{
-    const auto &l1 = machine.hierarchy().l1().config();
-    return l1.assoc == 4 && l1.policy == PolicyKind::TreePlru;
-}
-
-// ---------------------------------------------------------------------
-// pa_race: the transient presence/absence racing gadget (section 5.1).
-// ---------------------------------------------------------------------
-
-class PaRaceSource final : public TimingSource
-{
-  public:
-    std::string name() const override { return "pa_race"; }
-
-    std::string
-    describe() const override
-    {
-        return "transient P/A race: expression vs reference path, "
-               "result encoded as presence of the probe line";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        cfg_.refOp = opcodeParam(params, "ref_op", cfg_.refOp);
-        cfg_.refOps =
-            static_cast<int>(params.getInt("ref_ops", cfg_.refOps));
-        cfg_.targetOp = opcodeParam(params, "op", cfg_.targetOp);
-        cfg_.slowOps =
-            static_cast<int>(params.getInt("slow_ops", cfg_.slowOps));
-        cfg_.fastOps =
-            static_cast<int>(params.getInt("fast_ops", cfg_.fastOps));
-        cfg_.trainRounds = static_cast<int>(
-            params.getInt("train_rounds", cfg_.trainRounds));
-        // Reconfiguration invalidates anything built from the old
-        // parameters.
-        slowRace_.reset();
-        fastRace_.reset();
-        probeAddr_ = 0;
-    }
-
-    TimingSample
-    sample(Machine &machine, bool secret) override
-    {
-        TransientPaRace race(
-            machine, raceConfig(0),
-            TargetExpr::opChain(cfg_.targetOp,
-                                secret ? cfg_.slowOps : cfg_.fastOps));
-        const Cycle t0 = machine.now();
-        race.train();
-        const bool present = race.attackAndProbe();
-        TimingSample s;
-        s.cycles = machine.now() - t0;
-        s.ns = machine.toNs(s.cycles);
-        s.bit = present; // present == expression outlasted the baseline
-        return s;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<PaRaceSource>();
-        copy->cfg_ = cfg_;
-        return copy;
-    }
-
-    // ---- encoder role ------------------------------------------------
-    bool isEncoder() const override { return true; }
-
-    void
-    bindTarget(Machine &machine, Addr primary, Addr) override
-    {
-        if (!binding_.rebind(machine) && primary == probeAddr_ &&
-            slowRace_) {
-            return;
-        }
-        probeAddr_ = primary;
-        slowRace_ = std::make_unique<TransientPaRace>(
-            machine, raceConfig(primary),
-            TargetExpr::opChain(cfg_.targetOp, cfg_.slowOps));
-        fastRace_ = std::make_unique<TransientPaRace>(
-            machine, raceConfig(primary),
-            TargetExpr::opChain(cfg_.targetOp, cfg_.fastOps));
-    }
-
-    void
-    primeEncoder(Machine &, bool present) override
-    {
-        race(present).train();
-    }
-
-    void
-    transmit(Machine &, bool present) override
-    {
-        race(present).runAttack();
-    }
-
-  private:
-    struct Config
-    {
-        Opcode refOp = Opcode::Add;
-        int refOps = 20;
-        Opcode targetOp = Opcode::Add;
-        int slowOps = 60;
-        int fastOps = 5;
-        int trainRounds = 4;
-    };
-
-    Config cfg_;
-    MachineBinding binding_;
-    Addr probeAddr_ = 0;
-    std::unique_ptr<TransientPaRace> slowRace_;
-    std::unique_ptr<TransientPaRace> fastRace_;
-
-    TransientPaRaceConfig
-    raceConfig(Addr probe) const
-    {
-        TransientPaRaceConfig config;
-        if (probe != 0)
-            config.probeAddr = probe;
-        config.refOp = cfg_.refOp;
-        config.refOps = cfg_.refOps;
-        config.trainRounds = cfg_.trainRounds;
-        return config;
-    }
-
-    TransientPaRace &
-    race(bool present)
-    {
-        // present: probe fetched, i.e. the slow expression loses.
-        fatalIf(!slowRace_ || !fastRace_,
-                "pa_race: transmit before bindTarget");
-        return present ? *slowRace_ : *fastRace_;
-    }
-};
-
-// ---------------------------------------------------------------------
-// Amplifier base: shared calibrate/sample over the amplifier hooks.
-// ---------------------------------------------------------------------
-
-class AmplifierSourceBase : public TimingSource
-{
-  public:
-    bool isAmplifier() const override { return true; }
-
-    void
-    calibrate(Machine &machine) override
-    {
-        calibration_ = calibrateThreshold(
-            [&](bool slow) {
-                prepare(machine);
-                forceInput(machine, slow);
-                return machine.toNs(amplify(machine));
-            },
-            name() + "::calibrate");
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
-    }
-
-    TimingSample
-    sample(Machine &machine, bool secret) override
-    {
-        prepare(machine);
-        forceInput(machine, secret);
-        TimingSample s;
-        s.cycles = amplify(machine);
-        s.ns = machine.toNs(s.cycles);
-        // The threshold only means something on the machine it was
-        // calibrated against; on any other machine the bit reads as
-        // uncalibrated (false), never as a stale decode.
-        s.bit = isCalibratedFor(machine) && calibration_.isSlow(s.ns);
-        return s;
-    }
-
-  protected:
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
-
-    bool
-    isCalibratedFor(const Machine &machine) const
-    {
-        return calibrated_ && calibratedSerial_ == machine.serial();
-    }
-};
-
-// ---------------------------------------------------------------------
-// plru_pa_magnifier / plru_reorder_magnifier (sections 6.1 / 6.2).
-// ---------------------------------------------------------------------
-
-class PlruMagnifierSource : public AmplifierSourceBase
-{
-  public:
-    explicit PlruMagnifierSource(PlruVariant variant) : variant_(variant)
-    {
-    }
-
-    std::string
-    name() const override
-    {
-        return variant_ == PlruVariant::PresenceAbsence
-                   ? "plru_pa_magnifier"
-                   : "plru_reorder_magnifier";
-    }
-
-    std::string
-    describe() const override
-    {
-        return variant_ == PlruVariant::PresenceAbsence
-                   ? "W=4 tree-PLRU magnifier: presence of line A "
-                     "pins a miss-per-period traversal"
-                   : "W=4 tree-PLRU magnifier: A-before-B insertion "
-                     "order pins a miss-per-period traversal";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
-        cfg_.repeats =
-            static_cast<int>(params.getInt("repeats", cfg_.repeats));
-        cfg_.tagBase =
-            static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
-        magnifier_.reset();
-        calibrated_ = false;
-    }
-
-    bool
-    compatible(const Machine &machine) const override
-    {
-        return hasPlruL1(machine) &&
-               cfg_.set < machine.hierarchy().l1().config().numSets;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<PlruMagnifierSource>(variant_);
-        copy->cfg_ = cfg_;
-        return copy;
-    }
-
-    // ---- amplifier role ----------------------------------------------
-    void
-    prepare(Machine &machine) override
-    {
-        ensure(machine);
-        magnifier_->prime();
-    }
-
-    std::pair<Addr, Addr>
-    inputLines(Machine &machine) override
-    {
-        ensure(machine);
-        return {magnifier_->config().a, magnifier_->config().b};
-    }
-
-    void
-    forceInput(Machine &machine, bool slow) override
-    {
-        ensure(machine);
-        const auto &config = magnifier_->config();
-        if (variant_ == PlruVariant::PresenceAbsence) {
-            // Slow: A present (fetched into L1). Fast: A stays in L2.
-            if (slow)
-                machine.warm(config.a, 1);
-            return;
-        }
-        // Reorder: slow iff A is inserted before B.
-        machine.warm(slow ? config.a : config.b, 1);
-        machine.warm(slow ? config.b : config.a, 1);
-    }
-
-    Cycle
-    amplify(Machine &machine) override
-    {
-        ensure(machine);
-        return magnifier_->traverse().cycles;
-    }
-
-  private:
-    struct Config
-    {
-        int set = 3;
-        int repeats = 500;
-        int tagBase = 16;
-    };
-
-    PlruVariant variant_;
-    Config cfg_;
-    MachineBinding binding_;
-    std::unique_ptr<PlruMagnifier> magnifier_;
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && magnifier_)
-            return;
-        magnifier_ = std::make_unique<PlruMagnifier>(
-            machine,
-            PlruMagnifier::makeConfig(machine, cfg_.set, cfg_.repeats,
-                                      cfg_.tagBase),
-            variant_);
-    }
-};
-
-// ---------------------------------------------------------------------
-// reorder_race (section 5.2): readout through a short reorder traversal.
-// ---------------------------------------------------------------------
-
-class ReorderRaceSource final : public TimingSource
-{
-  public:
-    std::string name() const override { return "reorder_race"; }
-
-    std::string
-    describe() const override
-    {
-        return "non-transient reorder race: expression vs reference "
-               "path, result encoded as A-before-B insertion order";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        cfg_.refOp = opcodeParam(params, "ref_op", cfg_.refOp);
-        cfg_.refOps =
-            static_cast<int>(params.getInt("ref_ops", cfg_.refOps));
-        cfg_.targetOp = opcodeParam(params, "op", cfg_.targetOp);
-        cfg_.slowOps =
-            static_cast<int>(params.getInt("slow_ops", cfg_.slowOps));
-        cfg_.fastOps =
-            static_cast<int>(params.getInt("fast_ops", cfg_.fastOps));
-        cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
-        cfg_.tagBase =
-            static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
-        cfg_.readoutRepeats = static_cast<int>(
-            params.getInt("readout_repeats", cfg_.readoutRepeats));
-        magnifier_.reset();
-        aFirstRace_.reset();
-        bFirstRace_.reset();
-        addrA_ = addrB_ = 0;
-        calibrated_ = false;
-    }
-
-    bool
-    compatible(const Machine &machine) const override
-    {
-        // The standalone readout (and the reorder pipeline) decode
-        // the order from a W=4 tree-PLRU set.
-        return hasPlruL1(machine);
-    }
-
-    void
-    calibrate(Machine &machine) override
-    {
-        ensure(machine);
-        calibration_ = calibrateThreshold(
-            [&](bool slow) {
-                magnifier_->prime();
-                const auto &config = magnifier_->config();
-                machine.warm(slow ? config.a : config.b, 1);
-                machine.warm(slow ? config.b : config.a, 1);
-                return machine.toNs(magnifier_->traverse().cycles);
-            },
-            "reorder_race::calibrate");
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
-    }
-
-    TimingSample
-    sample(Machine &machine, bool secret) override
-    {
-        ensure(machine);
-        magnifier_->prime();
-        // secret (slow observable) <=> A inserted first <=> the
-        // measurement path wins the race, i.e. the *fast* expression.
-        transmit(machine, secret);
-        TimingSample s;
-        s.cycles = magnifier_->traverse().cycles;
-        s.ns = machine.toNs(s.cycles);
-        s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-                calibration_.isSlow(s.ns);
-        return s;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<ReorderRaceSource>();
-        copy->cfg_ = cfg_;
-        return copy;
-    }
-
-    // ---- encoder role ------------------------------------------------
-    bool isEncoder() const override { return true; }
-
-    void
-    bindTarget(Machine &machine, Addr primary, Addr secondary) override
-    {
-        fatalIf(secondary == 0,
-                "reorder_race: needs both input lines (A and B)");
-        if (!bindingRaces_.rebind(machine) && primary == addrA_ &&
-            secondary == addrB_) {
-            return;
-        }
-        addrA_ = primary;
-        addrB_ = secondary;
-        ReorderRaceConfig config;
-        config.addrA = primary;
-        config.addrB = secondary;
-        config.refOp = cfg_.refOp;
-        config.refOps = cfg_.refOps;
-        aFirstRace_ = std::make_unique<ReorderRace>(
-            machine, config,
-            TargetExpr::opChain(cfg_.targetOp, cfg_.fastOps));
-        bFirstRace_ = std::make_unique<ReorderRace>(
-            machine, config,
-            TargetExpr::opChain(cfg_.targetOp, cfg_.slowOps));
-    }
-
-    void
-    primeEncoder(Machine &, bool) override
-    {
-        // No speculation anywhere: nothing to train.
-    }
-
-    void
-    transmit(Machine &machine, bool present) override
-    {
-        fatalIf(!aFirstRace_ || !bFirstRace_,
-                "reorder_race: transmit before bindTarget");
-        (present ? *aFirstRace_ : *bFirstRace_).run();
-        machine.settle();
-    }
-
-  private:
-    struct Config
-    {
-        Opcode refOp = Opcode::Add;
-        int refOps = 60;
-        Opcode targetOp = Opcode::Add;
-        int slowOps = 150;
-        int fastOps = 5;
-        int set = 5;
-        int tagBase = 700;
-        int readoutRepeats = 64;
-    };
-
-    Config cfg_;
-    MachineBinding binding_;
-    MachineBinding bindingRaces_;
-    std::unique_ptr<PlruMagnifier> magnifier_;
-    Addr addrA_ = 0, addrB_ = 0;
-    std::unique_ptr<ReorderRace> aFirstRace_;
-    std::unique_ptr<ReorderRace> bFirstRace_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && magnifier_)
-            return;
-        magnifier_ = std::make_unique<PlruMagnifier>(
-            machine,
-            PlruMagnifier::makeConfig(machine, cfg_.set,
-                                      cfg_.readoutRepeats, cfg_.tagBase),
-            PlruVariant::Reorder);
-        bindTarget(machine, magnifier_->config().a,
-                   magnifier_->config().b);
-    }
-};
-
-// ---------------------------------------------------------------------
-// plru_pin_magnifier: search-derived pin pattern, any 2^k ways.
-// ---------------------------------------------------------------------
-
-class PinPatternMagnifierSource final : public AmplifierSourceBase
-{
-  public:
-    std::string name() const override { return "plru_pin_magnifier"; }
-
-    std::string
-    describe() const override
-    {
-        return "tree-PLRU magnifier with a search-derived pin pattern "
-               "(works for any power-of-two associativity)";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
-        cfg_.repeats =
-            static_cast<int>(params.getInt("repeats", cfg_.repeats));
-        cfg_.tagBase =
-            static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
-        cfg_.maxLen =
-            static_cast<int>(params.getInt("max_len", cfg_.maxLen));
-        lines_.clear();
-        calibrated_ = false;
-    }
-
-    bool
-    compatible(const Machine &machine) const override
-    {
-        const auto &l1 = machine.hierarchy().l1().config();
-        if (l1.policy != PolicyKind::TreePlru || l1.assoc < 4 ||
-            (l1.assoc & (l1.assoc - 1)) != 0 ||
-            cfg_.set >= l1.numSets) {
-            return false;
-        }
-        return patternFor(l1.assoc).has_value();
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<PinPatternMagnifierSource>();
-        copy->cfg_ = cfg_;
-        return copy;
-    }
-
-    // ---- amplifier role ----------------------------------------------
-    void
-    prepare(Machine &machine) override
-    {
-        ensure(machine);
-        // The canonical base state of findPinPattern: lines 1..W fill
-        // the set in way order, the last-but-one fill gets an extra
-        // touch; the pinned line 0 is staged in L2.
-        for (Addr addr : lines_)
-            machine.flushLine(addr);
-        const int assoc = machine.hierarchy().l1().config().assoc;
-        for (int line = 1; line <= assoc; ++line)
-            machine.warm(lines_[static_cast<std::size_t>(line)], 1);
-        machine.warm(lines_[static_cast<std::size_t>(assoc - 1)], 1);
-        machine.warm(lines_[0], 2);
-    }
-
-    std::pair<Addr, Addr>
-    inputLines(Machine &machine) override
-    {
-        ensure(machine);
-        return {lines_[0], 0};
-    }
-
-    void
-    forceInput(Machine &machine, bool slow) override
-    {
-        ensure(machine);
-        if (slow)
-            machine.warm(lines_[0], 1);
-    }
-
-    Cycle
-    amplify(Machine &machine) override
-    {
-        ensure(machine);
-        return machine.run(program_).cycles();
-    }
-
-  private:
-    struct Config
-    {
-        int set = 3;
-        int repeats = 500;
-        int tagBase = 16;
-        int maxLen = 16;
-    };
-
-    Config cfg_;
-    MachineBinding binding_;
-    std::vector<Addr> lines_;
-    Program program_;
-    // The BFS pattern search depends only on (assoc, maxLen_); cache
-    // it so compatible() probes and per-machine rebuilds don't re-run
-    // it (mutable: compatible() is const).
-    mutable std::optional<PinPattern> pattern_;
-    mutable int patternAssoc_ = -1;
-    mutable int patternMaxLen_ = -1;
-
-    const std::optional<PinPattern> &
-    patternFor(int assoc) const
-    {
-        if (patternAssoc_ != assoc || patternMaxLen_ != cfg_.maxLen) {
-            pattern_ = findPinPattern(assoc, cfg_.maxLen);
-            patternAssoc_ = assoc;
-            patternMaxLen_ = cfg_.maxLen;
-        }
-        return pattern_;
-    }
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && !lines_.empty())
-            return;
-        const int assoc = machine.hierarchy().l1().config().assoc;
-        const auto &pattern = patternFor(assoc);
-        fatalIf(!pattern, "plru_pin_magnifier: no pin pattern for W=" +
-                              std::to_string(assoc));
-        // Line ids 0 (pinned) .. W+1 (the search alphabet's spare).
-        lines_ = PlruMagnifier::sameSetLines(machine, cfg_.set,
-                                             assoc + 2, cfg_.tagBase);
-        ProgramBuilder builder("plru_pin_magnify");
-        RegId r = builder.movImm(0);
-        for (int line : pattern->leadIn)
-            builder.loadOrderedInto(
-                r, lines_[static_cast<std::size_t>(line)]);
-        for (int rep = 0; rep < cfg_.repeats; ++rep)
-            for (int line : pattern->accesses)
-                builder.loadOrderedInto(
-                    r, lines_[static_cast<std::size_t>(line)]);
-        builder.halt();
-        program_ = builder.take();
-    }
-};
-
-// ---------------------------------------------------------------------
-// arbitrary_magnifier (section 6.3).
-// ---------------------------------------------------------------------
-
-class ArbitraryMagnifierSource final : public AmplifierSourceBase
-{
-  public:
-    std::string name() const override { return "arbitrary_magnifier"; }
-
-    std::string
-    describe() const override
-    {
-        return "replacement-policy-agnostic magnifier: misaligned "
-               "racing paths cascade PAR evictions (chain reaction)";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        config_.numSets = static_cast<int>(
-            params.getInt("num_sets", config_.numSets));
-        config_.seqLen =
-            static_cast<int>(params.getInt("seq_len", config_.seqLen));
-        config_.parLen =
-            static_cast<int>(params.getInt("par_len", config_.parLen));
-        config_.dist = static_cast<int>(params.getInt("dist", config_.dist));
-        config_.repeats = static_cast<int>(
-            params.getInt("repeats", config_.repeats));
-        config_.prefetch = params.getBool("prefetch", config_.prefetch);
-        config_.chainPadOps = static_cast<int>(
-            params.getInt("chain_pad", config_.chainPadOps));
-        config_.pathASlackOps = static_cast<int>(
-            params.getInt("slack", config_.pathASlackOps));
-        magnifier_.reset();
-        calibrated_ = false;
-    }
-
-    bool
-    compatible(const Machine &machine) const override
-    {
-        const auto &l1 = machine.hierarchy().l1().config();
-        return config_.numSets > 0 && config_.numSets <= l1.numSets &&
-               config_.numSets % 2 == 0 && config_.dist % 2 == 0 &&
-               config_.seqLen < l1.assoc;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<ArbitraryMagnifierSource>();
-        copy->config_ = config_;
-        return copy;
-    }
-
-    // ---- amplifier role ----------------------------------------------
-    bool presentMeansSlow() const override { return false; }
-
-    void
-    prepare(Machine &machine) override
-    {
-        ensure(machine);
-        magnifier_->prime();
-    }
-
-    std::pair<Addr, Addr>
-    inputLines(Machine &machine) override
-    {
-        ensure(machine);
-        return {config_.inputAddr, 0};
-    }
-
-    void
-    forceInput(Machine &machine, bool slow) override
-    {
-        // Input present = PathB aligned = no chain reaction = fast.
-        if (slow)
-            machine.flushLine(config_.inputAddr);
-        else
-            machine.warm(config_.inputAddr, 1);
-    }
-
-    Cycle
-    amplify(Machine &machine) override
-    {
-        ensure(machine);
-        // An encoder's racing program may have warmed the sync line.
-        machine.flushLine(config_.syncAddr);
-        return magnifier_->traverse();
-    }
-
-  private:
-    ArbitraryMagnifierConfig config_;
-    MachineBinding binding_;
-    std::unique_ptr<ArbitraryMagnifier> magnifier_;
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && magnifier_)
-            return;
-        magnifier_ =
-            std::make_unique<ArbitraryMagnifier>(machine, config_);
-    }
-};
-
-// ---------------------------------------------------------------------
-// arith_magnifier (section 6.4).
-// ---------------------------------------------------------------------
-
-class ArithMagnifierSource final : public AmplifierSourceBase
-{
-  public:
-    std::string name() const override { return "arith_magnifier"; }
-
-    std::string
-    describe() const override
-    {
-        return "arithmetic-only magnifier: divider contention chain "
-               "reaction, no cache use beyond two head loads";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        config_.stages =
-            static_cast<int>(params.getInt("stages", config_.stages));
-        config_.divChain = static_cast<int>(
-            params.getInt("div_chain", config_.divChain));
-        config_.parDivs = static_cast<int>(
-            params.getInt("par_divs", config_.parDivs));
-        config_.addBuffer = static_cast<int>(
-            params.getInt("add_buffer", config_.addBuffer));
-        magnifier_.reset();
-        calibrated_ = false;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<ArithMagnifierSource>();
-        copy->config_ = config_;
-        return copy;
-    }
-
-    // ---- amplifier role ----------------------------------------------
-    bool presentMeansSlow() const override { return false; }
-
-    void
-    prepare(Machine &machine) override
-    {
-        ensure(machine);
-        magnifier_->prepare();
-    }
-
-    std::pair<Addr, Addr>
-    inputLines(Machine &machine) override
-    {
-        ensure(machine);
-        return {config_.inputAddr, 0};
-    }
-
-    void
-    forceInput(Machine &machine, bool slow) override
-    {
-        // Input present = PathB aligned with PathA = fast.
-        if (slow)
-            machine.flushLine(config_.inputAddr);
-        else
-            machine.warm(config_.inputAddr, 1);
-    }
-
-    Cycle
-    amplify(Machine &machine) override
-    {
-        ensure(machine);
-        // Re-chill the sync line in case an encoder's program warmed
-        // it (prepare() is idempotent and input-preserving).
-        magnifier_->prepare();
-        return magnifier_->traverse();
-    }
-
-  private:
-    ArithMagnifierConfig config_;
-    MachineBinding binding_;
-    std::unique_ptr<ArithMagnifier> magnifier_;
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && magnifier_)
-            return;
-        magnifier_ = std::make_unique<ArithMagnifier>(machine, config_);
-    }
-};
-
-// ---------------------------------------------------------------------
-// repetition: the flush+reload repetition harness (section 7.1).
-// ---------------------------------------------------------------------
-
-class RepetitionSource final : public TimingSource
-{
-  public:
-    std::string name() const override { return "repetition"; }
-
-    std::string
-    describe() const override
-    {
-        return "flush+reload repetition rounds; racing=0 shows the "
-               "paper's cancellation failure, racing=1 the fix";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        rounds_ = static_cast<int>(params.getInt("rounds", rounds_));
-        racing_ = params.getBool("racing", racing_);
-        stages_.envelopeOps = static_cast<int>(
-            params.getInt("envelope_ops", stages_.envelopeOps));
-        calibrated_ = false;
-    }
-
-    void
-    calibrate(Machine &machine) override
-    {
-        // Lenient: with racing=0 the two states are *designed* to be
-        // inseparable (that is the paper's point).
-        calibration_ = calibrateThresholdLenient(
-            [&](bool slow) { return observe(machine, slow).ns; });
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
-    }
-
-    TimingSample
-    sample(Machine &machine, bool secret) override
-    {
-        TimingSample s = observe(machine, secret);
-        s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-                calibration_.isSlow(s.ns);
-        return s;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<RepetitionSource>();
-        copy->rounds_ = rounds_;
-        copy->racing_ = racing_;
-        copy->stages_ = stages_;
-        return copy;
-    }
-
-  private:
-    int rounds_ = 200;
-    bool racing_ = true;
-    FlushReloadStages stages_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
-
-    TimingSample
-    observe(Machine &machine, bool secret)
-    {
-        // secret (slow observable): the victim touches a *different*
-        // line, so every reload stage misses.
-        machine.warm(stages_.otherAddr, 1);
-        RepetitionGadget gadget = makeFlushReloadGadget(
-            machine, stages_, /*same_addr=*/!secret, racing_);
-        const StageBreakdown breakdown = gadget.run(rounds_);
-        TimingSample s;
-        s.cycles = breakdown.total();
-        s.ns = machine.toNs(s.cycles);
-        for (std::size_t i = 0; i < breakdown.names.size(); ++i)
-            s.aux.emplace_back(
-                breakdown.names[i],
-                static_cast<double>(breakdown.cycles[i]));
-        return s;
-    }
-};
-
-// ---------------------------------------------------------------------
-// hacky_timer: the paper's composed stealthy timer (end to end).
-// ---------------------------------------------------------------------
-
-class HackyTimerSource final : public TimingSource
-{
-  public:
-    std::string name() const override { return "hacky_timer"; }
-
-    std::string
-    describe() const override
-    {
-        return "the composed stealthy timer (race + PLRU magnifier + "
-               "coarse clock): was the scratch load an L1 hit?";
-    }
-
-    void
-    configure(const ParamSet &params) override
-    {
-        cfg_.refOps =
-            static_cast<int>(params.getInt("ref_ops", cfg_.refOps));
-        cfg_.refOp = opcodeParam(params, "ref_op", cfg_.refOp);
-        cfg_.repeats =
-            static_cast<int>(params.getInt("repeats", cfg_.repeats));
-        cfg_.set = static_cast<int>(params.getInt("set", cfg_.set));
-        cfg_.tagBase =
-            static_cast<int>(params.getInt("tag_base", cfg_.tagBase));
-        cfg_.resolutionNs =
-            params.getDouble("resolution_ns", cfg_.resolutionNs);
-        cfg_.jitterNs = params.getDouble("jitter_ns", cfg_.jitterNs);
-        timer_.reset();
-        calibrated_ = false;
-    }
-
-    bool
-    compatible(const Machine &machine) const override
-    {
-        return hasPlruL1(machine);
-    }
-
-    void
-    calibrate(Machine &machine) override
-    {
-        ensure(machine);
-        timer_->calibrate();
-        calibrated_ = true;
-    }
-
-    TimingSample
-    sample(Machine &machine, bool secret) override
-    {
-        ensure(machine);
-        if (!calibrated_)
-            calibrate(machine);
-        // secret (slow observable): the scratch line is cold.
-        if (secret)
-            machine.flushLine(kScratch);
-        else
-            machine.warm(kScratch, 1);
-        const Cycle t0 = machine.now();
-        TimingSample s;
-        s.bit = timer_->loadIsSlow(kScratch);
-        s.cycles = machine.now() - t0;
-        s.ns = machine.toNs(s.cycles);
-        return s;
-    }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        auto copy = std::make_unique<HackyTimerSource>();
-        copy->cfg_ = cfg_;
-        return copy;
-    }
-
-  private:
-    static constexpr Addr kScratch = 0x500'0000;
-
-    struct Config
-    {
-        int refOps = 12;
-        Opcode refOp = Opcode::Mul;
-        int repeats = 0; // 0 = auto from the timer resolution
-        int set = 3;
-        int tagBase = 600;
-        double resolutionNs = 5000;
-        double jitterNs = 0;
-    };
-
-    Config cfg_;
-    MachineBinding binding_;
-    std::unique_ptr<HackyTimer> timer_;
-    bool calibrated_ = false;
-
-    void
-    ensure(Machine &machine)
-    {
-        if (!binding_.rebind(machine) && timer_)
-            return;
-        HackyTimerConfig config;
-        config.timer.ghz = machine.config().ghz;
-        config.timer.resolutionNs = cfg_.resolutionNs;
-        config.timer.jitterNs = cfg_.jitterNs;
-        config.refOp = cfg_.refOp;
-        config.refOps = cfg_.refOps;
-        config.magnifierRepeats = cfg_.repeats;
-        config.plruSet = cfg_.set;
-        config.plruTagBase = cfg_.tagBase;
-        timer_ = std::make_unique<HackyTimer>(machine, config);
-        calibrated_ = false;
-    }
-};
-
 // ---------------------------------------------------------------------
 // coarse_timer: the bare browser clock (why magnification is needed).
 // ---------------------------------------------------------------------
@@ -1100,8 +45,8 @@ class CoarseTimerSource final : public TimingSource
             static_cast<int>(params.getInt("slow_ops", cfg_.slowOps));
         cfg_.fastOps =
             static_cast<int>(params.getInt("fast_ops", cfg_.fastOps));
-        clock_.reset();
-        calibrated_ = false;
+        binding_ = {};
+        calibration_.reset();
     }
 
     void
@@ -1110,10 +55,10 @@ class CoarseTimerSource final : public TimingSource
         ensure(machine);
         // Lenient: failing to separate the states is this source's
         // expected behaviour at browser resolutions.
-        calibration_ = calibrateThresholdLenient(
-            [&](bool slow) { return observeNs(machine, slow); });
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
+        calibration_.set(calibrateThresholdLenient([&](bool slow) {
+                             return observeNs(machine, slow);
+                         }),
+                         machine);
     }
 
     TimingSample
@@ -1125,8 +70,7 @@ class CoarseTimerSource final : public TimingSource
         TimingSample s;
         s.cycles = machine.now() - t0;
         s.ns = ns;
-        s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-                calibration_.isSlow(ns);
+        s.bit = calibration_.isSlow(machine, ns);
         return s;
     }
 
@@ -1151,20 +95,19 @@ class CoarseTimerSource final : public TimingSource
     Config cfg_;
     MachineBinding binding_;
     std::unique_ptr<CoarseTimer> clock_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
+    MachineCalibration calibration_;
 
     void
     ensure(Machine &machine)
     {
-        if (!binding_.rebind(machine) && clock_)
+        if (binding_.boundTo(machine))
             return;
         TimerConfig config;
         config.ghz = machine.config().ghz;
         config.resolutionNs = cfg_.resolutionNs;
         config.jitterNs = cfg_.jitterNs;
         clock_ = std::make_unique<CoarseTimer>(config);
+        binding_.bind(machine);
     }
 
     double
@@ -1229,7 +172,7 @@ Pipeline::configure(const ParamSet &params)
     // Reconfiguration invalidates both the clock and any threshold
     // calibrated against the old configuration.
     clock_.reset();
-    calibrated_ = false;
+    calibration_.reset();
     for (auto &stage : stages_)
         stage->configure(params);
 }
@@ -1296,21 +239,19 @@ Pipeline::calibrate(Machine &machine)
 {
     TimingSource &amp = amplifier();
     ensureClock(machine);
-    calibration_ = calibrateThreshold(
-        [&](bool slow) {
-            double ns = 0;
-            for (int round = 0; round < rounds_; ++round) {
-                amp.prepare(machine);
-                amp.forceInput(machine, slow);
-                const double begin = clock_->nowNs(machine.now());
-                amp.amplify(machine);
-                ns += clock_->nowNs(machine.now()) - begin;
-            }
-            return ns;
-        },
-        name() + "::calibrate");
-    calibrated_ = true;
-    calibratedSerial_ = machine.serial();
+    const auto observe = [&](bool slow) {
+        double ns = 0;
+        for (int round = 0; round < rounds_; ++round) {
+            amp.prepare(machine);
+            amp.forceInput(machine, slow);
+            const double begin = clock_->nowNs(machine.now());
+            amp.amplify(machine);
+            ns += clock_->nowNs(machine.now()) - begin;
+        }
+        return ns;
+    };
+    calibration_.set(calibrateThreshold(observe, name() + "::calibrate"),
+                     machine);
 }
 
 TimingSample
@@ -1325,8 +266,7 @@ Pipeline::sample(Machine &machine, bool secret)
     for (int round = 0; round < rounds_; ++round)
         s.ns += observeNs(machine, present);
     s.cycles = machine.now() - t0;
-    s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-            calibration_.isSlow(s.ns);
+    s.bit = calibration_.isSlow(machine, s.ns);
     return s;
 }
 
@@ -1372,10 +312,8 @@ class SmtContentionSource final : public TimingSource
         cfg_.counterUnroll = static_cast<int>(
             params.getInt("counter_unroll", cfg_.counterUnroll));
         fatalIf(cfg_.counterUnroll < 1, "counter_unroll must be >= 1");
-        measured_[0].reset();
-        measured_[1].reset();
-        counter_.reset();
-        calibrated_ = false;
+        binding_ = {};
+        calibration_.reset();
     }
 
     bool
@@ -1388,11 +326,11 @@ class SmtContentionSource final : public TimingSource
     calibrate(Machine &machine) override
     {
         ensure(machine);
-        calibration_ = calibrateThreshold(
-            [&](bool slow) { return observeCount(machine, slow); },
-            "smt_contention::calibrate");
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
+        calibration_.set(
+            calibrateThreshold(
+                [&](bool slow) { return observeCount(machine, slow); },
+                "smt_contention::calibrate"),
+            machine);
     }
 
     TimingSample
@@ -1405,8 +343,7 @@ class SmtContentionSource final : public TimingSource
         s.cycles = machine.now() - t0;
         s.ns = count; // the attacker's only reading is the count
         s.aux.emplace_back("count", count);
-        s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-                calibration_.isSlow(count);
+        s.bit = calibration_.isSlow(machine, count);
         return s;
     }
 
@@ -1431,9 +368,7 @@ class SmtContentionSource final : public TimingSource
     MachineBinding binding_;
     std::unique_ptr<Program> measured_[2]; ///< [fast, slow]
     std::unique_ptr<Program> counter_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
+    MachineCalibration calibration_;
 
     void
     ensure(Machine &machine)
@@ -1441,7 +376,7 @@ class SmtContentionSource final : public TimingSource
         fatalIf(machine.contexts() < 2,
                 "smt_contention needs a machine with >= 2 contexts "
                 "(use an smt profile)");
-        if (!binding_.rebind(machine) && counter_)
+        if (binding_.boundTo(machine))
             return;
         for (int slow = 0; slow < 2; ++slow) {
             ProgramBuilder builder(slow ? "smt_measured_slow"
@@ -1466,7 +401,8 @@ class SmtContentionSource final : public TimingSource
             builder.chainOpImm(cfg_.targetOp, r, 1);
         builder.jump(loop);
         counter_ = std::make_unique<Program>(builder.take());
-        calibrated_ = false;
+        calibration_.reset();
+        binding_.bind(machine);
     }
 
     double
@@ -1518,10 +454,8 @@ class L1ContentionSource final : public TimingSource
         fatalIf(cfg_.repeats < 1, "repeats must be >= 1");
         fatalIf(cfg_.evictLines < 0,
                 "evict_lines must be >= 0 (0 = L1 associativity)");
-        primary_[0].reset();
-        primary_[1].reset();
-        probe_.reset();
-        calibrated_ = false;
+        binding_ = {};
+        calibration_.reset();
     }
 
     bool
@@ -1535,11 +469,11 @@ class L1ContentionSource final : public TimingSource
     calibrate(Machine &machine) override
     {
         ensure(machine);
-        calibration_ = calibrateThreshold(
-            [&](bool slow) { return observeMisses(machine, slow); },
-            "l1_contention::calibrate");
-        calibrated_ = true;
-        calibratedSerial_ = machine.serial();
+        calibration_.set(
+            calibrateThreshold(
+                [&](bool slow) { return observeMisses(machine, slow); },
+                "l1_contention::calibrate"),
+            machine);
     }
 
     TimingSample
@@ -1552,8 +486,7 @@ class L1ContentionSource final : public TimingSource
         s.cycles = machine.now() - t0;
         s.ns = misses; // the attacker's reading is the miss count
         s.aux.emplace_back("count", misses);
-        s.bit = calibrated_ && calibratedSerial_ == machine.serial() &&
-                calibration_.isSlow(misses);
+        s.bit = calibration_.isSlow(machine, misses);
         return s;
     }
 
@@ -1578,9 +511,7 @@ class L1ContentionSource final : public TimingSource
     MachineBinding binding_;
     std::unique_ptr<Program> primary_[2]; ///< [fast, slow]
     std::unique_ptr<Program> probe_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
+    MachineCalibration calibration_;
 
     /** Line address of (set, tag) in the machine's L1 geometry. */
     static Addr
@@ -1602,7 +533,7 @@ class L1ContentionSource final : public TimingSource
         const auto &l1 = machine.hierarchy().l1().config();
         fatalIf(cfg_.set >= l1.numSets,
                 "l1_contention: set out of range for this L1");
-        if (!binding_.rebind(machine) && probe_)
+        if (binding_.boundTo(machine))
             return;
         const int evict =
             cfg_.evictLines > 0 ? cfg_.evictLines : l1.assoc;
@@ -1655,7 +586,8 @@ class L1ContentionSource final : public TimingSource
             for (int i = 0; i < evict; ++i)
                 machine.warm(lineFor(machine, set, 300 + i), 2);
         }
-        calibrated_ = false;
+        calibration_.reset();
+        binding_.bind(machine);
     }
 
     double
@@ -1700,43 +632,42 @@ registerBuiltinSources(GadgetRegistry &registry)
     add("pa_race", "encoder",
         "ref_op,ref_ops,op,slow_ops,fast_ops,train_rounds",
         "transient presence/absence racing gadget (section 5.1)",
-        [] { return std::make_unique<PaRaceSource>(); });
+        [] { return std::make_unique<PaRace>(); });
     add("reorder_race", "encoder",
         "ref_op,ref_ops,op,slow_ops,fast_ops,set,tag_base,"
         "readout_repeats",
         "non-transient reorder racing gadget (section 5.2)",
-        [] { return std::make_unique<ReorderRaceSource>(); });
+        [] { return std::make_unique<ReorderRace>(); });
     add("plru_pa_magnifier", "amplifier", "set,repeats,tag_base",
         "W=4 tree-PLRU magnifier, presence/absence input (section 6.1)",
         [] {
-            return std::make_unique<PlruMagnifierSource>(
+            return std::make_unique<PlruMagnifier>(
                 PlruVariant::PresenceAbsence);
         });
     add("plru_reorder_magnifier", "amplifier", "set,repeats,tag_base",
         "W=4 tree-PLRU magnifier, reorder input (section 6.2)",
         [] {
-            return std::make_unique<PlruMagnifierSource>(
-                PlruVariant::Reorder);
+            return std::make_unique<PlruMagnifier>(PlruVariant::Reorder);
         });
     add("plru_pin_magnifier", "amplifier", "set,repeats,tag_base,max_len",
         "search-derived tree-PLRU pin pattern, any 2^k ways (section 9)",
-        [] { return std::make_unique<PinPatternMagnifierSource>(); });
+        [] { return std::make_unique<PlruPinMagnifier>(); });
     add("arbitrary_magnifier", "amplifier",
         "num_sets,seq_len,par_len,dist,repeats,prefetch,chain_pad,slack",
         "replacement-policy-agnostic chain-reaction magnifier "
         "(section 6.3)",
-        [] { return std::make_unique<ArbitraryMagnifierSource>(); });
+        [] { return std::make_unique<ArbitraryMagnifier>(); });
     add("arith_magnifier", "amplifier",
         "stages,div_chain,par_divs,add_buffer",
         "arithmetic-only divider-contention magnifier (section 6.4)",
-        [] { return std::make_unique<ArithMagnifierSource>(); });
+        [] { return std::make_unique<ArithMagnifier>(); });
     add("repetition", "composite", "rounds,racing,envelope_ops",
         "flush+reload repetition harness (section 7.1, Fig. 7)",
-        [] { return std::make_unique<RepetitionSource>(); });
+        [] { return std::make_unique<Repetition>(); });
     add("hacky_timer", "composite",
         "ref_op,ref_ops,repeats,set,tag_base,resolution_ns,jitter_ns",
         "the paper's composed stealthy fine-grained timer (section 7)",
-        [] { return std::make_unique<HackyTimerSource>(); });
+        [] { return std::make_unique<HackyTimer>(); });
     add("coarse_timer", "timer",
         "resolution_ns,jitter_ns,op,slow_ops,fast_ops",
         "the bare quantized browser clock (the threat-model baseline)",
@@ -1758,8 +689,8 @@ registerBuiltinSources(GadgetRegistry &registry)
         [] {
             auto pipeline =
                 std::make_unique<Pipeline>("hacky_pipeline");
-            pipeline->then(std::make_unique<PaRaceSource>())
-                .then(std::make_unique<PlruMagnifierSource>(
+            pipeline->then(std::make_unique<PaRace>())
+                .then(std::make_unique<PlruMagnifier>(
                     PlruVariant::PresenceAbsence));
             // Span several coarse-clock ticks so a tick-boundary
             // phase cannot flip the decision (cf. HackyTimer's
@@ -1777,9 +708,8 @@ registerBuiltinSources(GadgetRegistry &registry)
         [] {
             auto pipeline =
                 std::make_unique<Pipeline>("reorder_pipeline");
-            pipeline->then(std::make_unique<ReorderRaceSource>())
-                .then(std::make_unique<PlruMagnifierSource>(
-                    PlruVariant::Reorder));
+            pipeline->then(std::make_unique<ReorderRace>())
+                .then(std::make_unique<PlruMagnifier>(PlruVariant::Reorder));
             ParamSet defaults;
             defaults.set("repeats", "2000");
             pipeline->configure(defaults);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Built-in TimingSource adapters and the Pipeline composer.
+ * The sources with no gadget file of their own, the Pipeline composer,
+ * and the registration of every built-in source with GadgetRegistry.
  *
- * Every gadget class in the library is reachable through the unified
- * TimingSource interface and, by string name, through GadgetRegistry:
+ * Registered by name (each paper gadget is one class, in its own file;
+ * see timing_source.hh for the class and file of each):
  *
  *   pa_race                transient presence/absence racing gadget
  *   reorder_race           non-transient reorder racing gadget
@@ -20,10 +21,9 @@
  *   hacky_pipeline         Pipeline: pa_race -> plru_pa_magnifier
  *   reorder_pipeline       Pipeline: reorder_race -> plru_reorder_magnifier
  *
- * Only Pipeline is exposed as a concrete class here; everything else
- * is constructed through the registry. Compose your own stacks with
- * Pipeline::then() — any encoder source can feed any amplifier source
- * whose input is a cache line.
+ * The last five are defined in sources.cc; only Pipeline is exposed
+ * here. Compose your own stacks with Pipeline::then() — any encoder
+ * source can feed any amplifier source whose input is a cache line.
  */
 
 #ifndef HR_GADGETS_SOURCES_HH
@@ -76,9 +76,7 @@ class Pipeline : public TimingSource
     int rounds_ = 1;
     TimerConfig timerConfig_;
     std::unique_ptr<CoarseTimer> clock_;
-    Calibration calibration_;
-    bool calibrated_ = false;
-    std::uint64_t calibratedSerial_ = 0;
+    MachineCalibration calibration_;
 
     TimingSource &amplifier() const;
     void ensureClock(Machine &machine);

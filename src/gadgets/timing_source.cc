@@ -66,6 +66,58 @@ TimingSource::amplify(Machine &)
     fatal(name() + " is not an amplifier (amplify unsupported)");
 }
 
+void
+AmplifierSource::calibrate(Machine &machine)
+{
+    calibration_.set(calibrateThreshold(
+                         [&](bool slow) {
+                             prepare(machine);
+                             forceInput(machine, slow);
+                             return machine.toNs(amplify(machine));
+                         },
+                         name() + "::calibrate"),
+                     machine);
+}
+
+TimingSample
+AmplifierSource::sample(Machine &machine, bool secret)
+{
+    prepare(machine);
+    forceInput(machine, secret);
+    TimingSample s;
+    s.cycles = amplify(machine);
+    s.ns = machine.toNs(s.cycles);
+    s.bit = calibration_.isSlow(machine, s.ns);
+    return s;
+}
+
+bool
+hasPlruL1(const Machine &machine)
+{
+    const auto &l1 = machine.hierarchy().l1().config();
+    return l1.assoc == 4 && l1.policy == PolicyKind::TreePlru;
+}
+
+Opcode
+opcodeParam(const ParamSet &params, const std::string &key, Opcode def)
+{
+    const std::string v = params.get(key, "");
+    if (v.empty())
+        return def;
+    if (v == "add")
+        return Opcode::Add;
+    if (v == "sub")
+        return Opcode::Sub;
+    if (v == "mul")
+        return Opcode::Mul;
+    if (v == "div")
+        return Opcode::Div;
+    if (v == "lea")
+        return Opcode::Lea;
+    fatal("parameter " + key + ": unknown opcode '" + v +
+          "' (use add, sub, mul, div, or lea)");
+}
+
 PolarityStats
 measurePolarities(TimingSource &source, Machine &machine, int trials)
 {

@@ -6,7 +6,24 @@
  * racing gadgets that encode "was this slower than the reference?"
  * into microarchitectural state, magnifiers that stretch that state
  * into coarse-clock-visible durations, repetition harnesses, and the
- * composed hacky timers. TimingSource gives them a common surface:
+ * composed hacky timers. Each paper gadget is exactly one class
+ * derived from TimingSource, defined in its own file:
+ *
+ *   pa_race, reorder_race        PaRace, ReorderRace     racing.hh
+ *   plru_pa_magnifier,           PlruMagnifier           plru_magnifier.hh
+ *     plru_reorder_magnifier
+ *   plru_pin_magnifier           PlruPinMagnifier        plru_pattern.hh
+ *   arbitrary_magnifier          ArbitraryMagnifier      arbitrary_magnifier.hh
+ *   arith_magnifier              ArithMagnifier          arith_magnifier.hh
+ *   repetition                   Repetition              repetition.hh
+ *   hacky_timer                  HackyTimer              hacky_timer.hh
+ *
+ * The sources with no gadget file (the coarse clock, the two SMT
+ * contention timers, and the Pipeline composer) live in sources.cc.
+ * A gadget class owns its one config struct and the ParamSet mapping
+ * onto it, and binds lazily to whatever Machine it is handed: its
+ * per-machine state (programs, line addresses) is rebuilt when the
+ * machine changes. Its surface:
  *
  *   - configure(params): apply string-keyed construction overrides
  *     (what GadgetRegistry::make and `hr_bench sweep` feed in);
@@ -38,6 +55,7 @@
 #include <vector>
 
 #include "sim/machine.hh"
+#include "timer/calibration.hh"
 #include "util/params.hh"
 
 namespace hr
@@ -189,6 +207,87 @@ class TimingSource
     /** Amplifier: stretch the current state into a duration. */
     virtual Cycle amplify(Machine &machine);
 };
+
+// ---- plumbing shared by the sources ----------------------------------
+
+/**
+ * Which machine a lazily-bound source last built its state for. A
+ * source checks boundTo() before use, rebuilds if it is false, and
+ * bind()s only once the rebuild succeeded, so a failed build is
+ * retried rather than left half-bound.
+ */
+struct MachineBinding
+{
+    Machine *machine = nullptr;
+    std::uint64_t serial = 0;
+
+    /** True iff the state was built for this very Machine. */
+    bool
+    boundTo(const Machine &m) const
+    {
+        return machine == &m && serial == m.serial();
+    }
+
+    void
+    bind(Machine &m)
+    {
+        machine = &m;
+        serial = m.serial();
+    }
+};
+
+/**
+ * A decision threshold and the machine it was calibrated against. The
+ * threshold only means something on that machine; on any other one
+ * isSlow() reads as uncalibrated (false), never as a stale decode.
+ */
+class MachineCalibration
+{
+  public:
+    void
+    set(const Calibration &calibration, const Machine &machine)
+    {
+        calibration_ = calibration;
+        valid_ = true;
+        serial_ = machine.serial();
+    }
+
+    void reset() { valid_ = false; }
+
+    bool
+    isSlow(const Machine &machine, double reading) const
+    {
+        return valid_ && serial_ == machine.serial() &&
+               calibration_.isSlow(reading);
+    }
+
+  private:
+    Calibration calibration_;
+    bool valid_ = false;
+    std::uint64_t serial_ = 0;
+};
+
+/**
+ * Base of the magnifiers: calibrate() and sample() expressed over the
+ * amplifier hooks (prepare, forceInput, amplify).
+ */
+class AmplifierSource : public TimingSource
+{
+  public:
+    bool isAmplifier() const override { return true; }
+    void calibrate(Machine &machine) override;
+    TimingSample sample(Machine &machine, bool secret) override;
+
+  protected:
+    MachineCalibration calibration_;
+};
+
+/** True iff the machine has the paper's 4-way tree-PLRU L1. */
+bool hasPlruL1(const Machine &machine);
+
+/** Parse an opcode parameter ("add", "mul", "div", "lea", "sub"). */
+Opcode opcodeParam(const ParamSet &params, const std::string &key,
+                   Opcode def);
 
 } // namespace hr
 

@@ -159,7 +159,7 @@ class Machine
 
     /**
      * Process-unique machine identity. Lets components that lazily
-     * bind to a machine (TimingSource adapters) detect that a new
+     * bind to a machine (TimingSources) detect that a new
      * Machine was constructed at a recycled address and rebuild.
      */
     std::uint64_t serial() const { return serial_; }

@@ -1,16 +1,14 @@
-#include "obs/log.hh"
+#include "util/log.hh"
 
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "util/log.hh"
-
 namespace hr
 {
 
-namespace obs_detail
+namespace log_detail
 {
 
 std::atomic<int> gLogLevel{-1};
@@ -40,12 +38,12 @@ initLogLevel()
     return gLogLevel.load(std::memory_order_relaxed);
 }
 
-} // namespace obs_detail
+} // namespace log_detail
 
 void
 setLogLevel(LogLevel level)
 {
-    obs_detail::gLogLevel.store(static_cast<int>(level),
+    log_detail::gLogLevel.store(static_cast<int>(level),
                                 std::memory_order_relaxed);
 }
 

@@ -3,16 +3,16 @@
  * End-to-end attack tests (paper section 7): SpectreBack leaks a known
  * secret, the eviction-set generator builds congruent minimal sets
  * with only the Hacky-Racers timer, and the flush+reload repetition
- * study reproduces the Fig. 7 cancellation effect.
+ * gadget reproduces the Fig. 7 cancellation effect.
  */
 
 #include <gtest/gtest.h>
 
 #include "attacks/evset.hh"
-#include "attacks/flush_reload.hh"
 #include "attacks/spectreback.hh"
 #include "detect/detector.hh"
-#include "gadgets/arith_magnifier.hh"
+#include "gadgets/plru_magnifier.hh"
+#include "gadgets/repetition.hh"
 
 namespace hr
 {
@@ -128,47 +128,61 @@ TEST_F(EvSetTest, FinalSetFunctionallyEvictsTheTarget)
            "LLC back-invalidates)";
 }
 
+/** A stage's share of a repetition sample's total, in percent. */
+double
+stagePercent(const TimingSample &sample, const std::string &stage)
+{
+    return 100.0 * sample.auxValue(stage) /
+           static_cast<double>(sample.cycles);
+}
+
 TEST(FlushReload, PlainRepetitionCancelsTheSignal)
 {
     Machine machine;
-    FlushReloadConfig config;
-    FlushReloadRepetition study(machine, config);
-    FlushReloadOutcome plain = study.runPlain();
+    RepetitionConfig config;
+    config.racing = false;
+    Repetition plain(config);
+    // secret == false: the victim loads the probe line itself.
+    const TimingSample same_addr = plain.sample(machine, false);
+    const TimingSample diff_addr = plain.sample(machine, true);
 
     // Same-address rounds: load slow, reload fast; diff-address: the
     // reverse. The totals must be nearly equal (Fig. 7a).
-    const double same = static_cast<double>(plain.sameAddr.total());
-    const double diff = static_cast<double>(plain.diffAddr.total());
+    const double same = static_cast<double>(same_addr.cycles);
+    const double diff = static_cast<double>(diff_addr.cycles);
     EXPECT_NEAR(same / diff, 1.0, 0.05)
         << "plain repetition must show (almost) no total signal";
 
     // And the per-stage anti-correlation must be visible.
-    EXPECT_GT(plain.sameAddr.percent(1), plain.diffAddr.percent(1))
+    EXPECT_GT(stagePercent(same_addr, "load"),
+              stagePercent(diff_addr, "load"))
         << "victim-load stage slower in the same-address case";
-    EXPECT_LT(plain.sameAddr.percent(2), plain.diffAddr.percent(2))
+    EXPECT_LT(stagePercent(same_addr, "reload"),
+              stagePercent(diff_addr, "reload"))
         << "reload stage faster in the same-address case";
 }
 
 TEST(FlushReload, RacingGadgetRestoresTheSignal)
 {
     Machine machine;
-    FlushReloadConfig config;
-    FlushReloadRepetition study(machine, config);
-    FlushReloadOutcome raced = study.runWithRacingGadget();
+    RepetitionConfig config;
+    config.racing = true;
+    Repetition raced(config);
+    const TimingSample same_addr = raced.sample(machine, false);
+    const TimingSample diff_addr = raced.sample(machine, true);
 
     // The load stage is now constant-time; the reload difference
     // survives into the total (Fig. 7b).
-    const auto signal = raced.totalSignal();
+    const auto signal = static_cast<std::int64_t>(diff_addr.cycles) -
+                        static_cast<std::int64_t>(same_addr.cycles);
     EXPECT_GT(signal, 0);
     // The signal should be roughly one cache-miss-delta per round.
     EXPECT_GT(signal, 100 * config.rounds);
 
     // Load-stage cycles nearly equal across cases (the paper's Fig. 7b
     // normalizes both cases to the same-address total).
-    const double same_load =
-        static_cast<double>(raced.sameAddr.cycles[1]);
-    const double diff_load =
-        static_cast<double>(raced.diffAddr.cycles[1]);
+    const double same_load = same_addr.auxValue("load");
+    const double diff_load = diff_addr.auxValue("load");
     EXPECT_NEAR(same_load / diff_load, 1.0, 0.05)
         << "racing envelope must make the load stage constant-time";
 }
@@ -196,15 +210,14 @@ TEST(Detector, FlagsMagnifiersButNotBenignCode)
     // PLRU magnifier traffic: an L1 miss storm.
     {
         Machine machine(MachineConfig::plruProfile());
-        auto config = PlruMagnifier::makeConfig(machine, 3, 600);
-        PlruMagnifier magnifier(machine, config,
-                                PlruVariant::PresenceAbsence);
-        magnifier.prime();
-        machine.warm(config.a, 1);
+        PlruMagnifier magnifier(PlruVariant::PresenceAbsence, {3, 600});
+        magnifier.prepare(machine);
+        magnifier.forceInput(machine, true); // A present
+        const std::vector<Addr> period = magnifier.pattern(machine);
         ProgramBuilder builder("storm");
         RegId r = builder.movImm(0);
         for (int rep = 0; rep < 600; ++rep)
-            for (Addr addr : magnifier.pattern())
+            for (Addr addr : period)
                 r = builder.loadOrdered(addr, r);
         builder.halt();
         Program prog = builder.take();

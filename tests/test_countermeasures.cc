@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "gadgets/hacky_timer.hh"
-#include "gadgets/plru_magnifier.hh"
 #include "gadgets/racing.hh"
 
 namespace hr
@@ -21,14 +20,12 @@ TEST(DelayOnMiss, KillsTheTransientPaGadget)
     MachineConfig mc;
     mc.core.delayOnMiss = true;
     Machine machine(mc);
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 20;
     // A very slow expression: without the defence the probe would be
     // fetched transiently (see TransientPaRace.LongExprWinsRace).
-    TransientPaRace race(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 80));
-    race.train();
-    EXPECT_FALSE(race.attackAndProbe())
+    config.slowOps = 80;
+    EXPECT_FALSE(PaRace(config).sample(machine, true).bit)
         << "DoM must hold the speculative probe miss until the branch "
            "resolves (and then it is squashed)";
 }
@@ -63,31 +60,17 @@ TEST(DelayOnMiss, ReorderGadgetStillWorks)
     mc.core.delayOnMiss = true;
     Machine machine(mc);
 
-    auto config = PlruMagnifier::makeConfig(machine, 3, 400);
-    PlruMagnifier magnifier(machine, config, PlruVariant::Reorder);
-
-    ReorderRaceConfig race_config;
-    race_config.addrA = config.a;
-    race_config.addrB = config.b;
-    race_config.refOps = 60;
-
-    magnifier.prime();
-    {
-        ReorderRace race(machine, race_config,
-                         TargetExpr::opChain(Opcode::Add, 5));
-        race.run();
-        machine.settle();
-    }
-    const Cycle fast_expr = magnifier.traverse().cycles;
-
-    magnifier.prime();
-    {
-        ReorderRace race(machine, race_config,
-                         TargetExpr::opChain(Opcode::Add, 150));
-        race.run();
-        machine.settle();
-    }
-    const Cycle slow_expr = magnifier.traverse().cycles;
+    // The race's own readout: a 400-period reorder magnifier on set 3.
+    ReorderRaceConfig config;
+    config.set = 3;
+    config.tagBase = 16;
+    config.readoutRepeats = 400;
+    config.refOps = 60;
+    config.fastOps = 5;
+    config.slowOps = 150;
+    ReorderRace race(config);
+    const Cycle fast_expr = race.sample(machine, true).cycles;
+    const Cycle slow_expr = race.sample(machine, false).cycles;
 
     EXPECT_GT(fast_expr, slow_expr + 10000)
         << "no misspeculation anywhere: DoM cannot tell these loads "
@@ -104,18 +87,18 @@ TEST(FuzzyTimer, JitterDoesNotStopTheMagnifiedTimer)
     config.refOps = 12;
     config.timer.jitterNs = 4000;   // jitter comparable to the tick
     config.magnifierRepeats = 4000; // out-magnify it
-    HackyTimer timer(machine, config);
-    timer.calibrate();
+    HackyTimer timer(config);
+    timer.calibrate(machine);
 
     constexpr Addr kTarget = 0x500'0000;
     int correct = 0;
     for (int trial = 0; trial < 8; ++trial) {
         if (trial % 2 == 0) {
             machine.warm(kTarget, 1);
-            correct += !timer.loadIsSlow(kTarget);
+            correct += !timer.loadIsSlow(machine, kTarget);
         } else {
             machine.flushLine(kTarget);
-            correct += timer.loadIsSlow(kTarget);
+            correct += timer.loadIsSlow(machine, kTarget);
         }
     }
     EXPECT_GE(correct, 7)
@@ -132,13 +115,13 @@ TEST(TimerCoarsening, HundredMillisecondClockStillLoses)
     config.refOps = 12;
     config.timer.resolutionNs = 2e6; // 2 ms
     config.magnifierRepeats = 0;     // auto-scale
-    HackyTimer timer(machine, config);
-    timer.calibrate();
+    HackyTimer timer(config);
+    timer.calibrate(machine);
     constexpr Addr kTarget = 0x500'0000;
     machine.flushLine(kTarget);
-    EXPECT_TRUE(timer.loadIsSlow(kTarget));
+    EXPECT_TRUE(timer.loadIsSlow(machine, kTarget));
     machine.warm(kTarget, 1);
-    EXPECT_FALSE(timer.loadIsSlow(kTarget));
+    EXPECT_FALSE(timer.loadIsSlow(machine, kTarget));
 }
 
 } // namespace

@@ -28,26 +28,23 @@ class PlruMagnifierTest : public ::testing::Test
 
 TEST_F(PlruMagnifierTest, PresentMissesEveryOtherAccessForever)
 {
-    auto config = PlruMagnifier::makeConfig(machine_, 3, 400);
-    PlruMagnifier magnifier(machine_, config,
-                            PlruVariant::PresenceAbsence);
-    magnifier.prime();
-    machine_.warm(config.a, 1); // "present" input
-    MagnifierResult result = magnifier.traverse();
+    PlruMagnifier magnifier(PlruVariant::PresenceAbsence, {3, 400});
+    const Addr a = magnifier.lines(machine_)[0];
+    magnifier.prepare(machine_);
+    machine_.warm(a, 1); // "present" input
+    MagnifierResult result = magnifier.traverse(machine_);
     // 3 misses per 6-access period, indefinitely.
     EXPECT_NEAR(static_cast<double>(result.l1Misses),
-                3.0 * config.repeats, 6.0);
+                3.0 * magnifier.config().repeats, 6.0);
     // A must still be resident at the end (never evicted).
-    EXPECT_EQ(machine_.probeLevel(config.a), 1);
+    EXPECT_EQ(machine_.probeLevel(a), 1);
 }
 
 TEST_F(PlruMagnifierTest, AbsentHasNoMisses)
 {
-    auto config = PlruMagnifier::makeConfig(machine_, 3, 400);
-    PlruMagnifier magnifier(machine_, config,
-                            PlruVariant::PresenceAbsence);
-    magnifier.prime(); // A absent
-    MagnifierResult result = magnifier.traverse();
+    PlruMagnifier magnifier(PlruVariant::PresenceAbsence, {3, 400});
+    magnifier.prepare(machine_); // A absent
+    MagnifierResult result = magnifier.traverse(machine_);
     EXPECT_LE(result.l1Misses, 2u);
 }
 
@@ -55,14 +52,13 @@ TEST_F(PlruMagnifierTest, TimingGapScalesWithRepeats)
 {
     Cycle previous_gap = 0;
     for (int repeats : {100, 200, 400, 800}) {
-        auto config = PlruMagnifier::makeConfig(machine_, 3, repeats);
-        PlruMagnifier magnifier(machine_, config,
-                                PlruVariant::PresenceAbsence);
-        magnifier.prime();
-        const Cycle fast = magnifier.traverse().cycles;
-        magnifier.prime();
-        machine_.warm(config.a, 1);
-        const Cycle slow = magnifier.traverse().cycles;
+        PlruMagnifier magnifier(PlruVariant::PresenceAbsence,
+                                {3, repeats});
+        magnifier.prepare(machine_);
+        const Cycle fast = magnifier.traverse(machine_).cycles;
+        magnifier.prepare(machine_);
+        machine_.warm(magnifier.lines(machine_)[0], 1);
+        const Cycle slow = magnifier.traverse(machine_).cycles;
         ASSERT_GT(slow, fast);
         const Cycle gap = slow - fast;
         EXPECT_GT(gap, previous_gap)
@@ -75,44 +71,44 @@ TEST_F(PlruMagnifierTest, TimingGapScalesWithRepeats)
 
 TEST_F(PlruMagnifierTest, LoadBasedPrimingMatchesWarmPriming)
 {
-    auto config = PlruMagnifier::makeConfig(machine_, 3, 100);
-    PlruMagnifier magnifier(machine_, config,
-                            PlruVariant::PresenceAbsence);
+    PlruMagnifier magnifier(PlruVariant::PresenceAbsence, {3, 100});
+    const std::vector<Addr> lines = magnifier.lines(machine_);
+    const Addr a = lines[0];
 
     // Realistic attacker priming via loads only.
-    for (Addr a : {config.a, config.b, config.c, config.d, config.e})
-        machine_.flushLine(a);
-    Program prime = magnifier.buildPrimeProgram();
+    for (Addr line : lines)
+        machine_.flushLine(line);
+    Program prime = magnifier.primeProgram(machine_);
     machine_.run(prime);
     machine_.settle();
-    machine_.warm(config.a, 2);
+    machine_.warm(a, 2);
 
-    machine_.warm(config.a, 1);
-    MagnifierResult result = magnifier.traverse();
+    machine_.warm(a, 1);
+    MagnifierResult result = magnifier.traverse(machine_);
     EXPECT_NEAR(static_cast<double>(result.l1Misses),
-                3.0 * config.repeats, 6.0);
-    EXPECT_EQ(machine_.probeLevel(config.a), 1);
+                3.0 * magnifier.config().repeats, 6.0);
+    EXPECT_EQ(machine_.probeLevel(a), 1);
 }
 
 TEST_F(PlruMagnifierTest, ReorderVariantDistinguishesInsertionOrder)
 {
-    auto config = PlruMagnifier::makeConfig(machine_, 3, 400);
-    PlruMagnifier magnifier(machine_, config, PlruVariant::Reorder);
+    PlruMagnifier magnifier(PlruVariant::Reorder, {3, 400});
+    const auto [a, b] = magnifier.inputLines(machine_);
 
     // Case 1: A inserted before B's touch.
-    magnifier.prime();
-    machine_.warm(config.a, 1); // A arrives...
-    machine_.warm(config.b, 1); // ...then B is touched
-    const MagnifierResult a_first = magnifier.traverse();
+    magnifier.prepare(machine_);
+    machine_.warm(a, 1); // A arrives...
+    machine_.warm(b, 1); // ...then B is touched
+    const MagnifierResult a_first = magnifier.traverse(machine_);
 
     // Case 2: B touched before A arrives.
-    magnifier.prime();
-    machine_.warm(config.b, 1);
-    machine_.warm(config.a, 1);
-    const MagnifierResult b_first = magnifier.traverse();
+    magnifier.prepare(machine_);
+    machine_.warm(b, 1);
+    machine_.warm(a, 1);
+    const MagnifierResult b_first = magnifier.traverse(machine_);
 
     EXPECT_GT(a_first.l1Misses, static_cast<std::uint64_t>(
-                                    config.repeats));
+                                    magnifier.config().repeats));
     EXPECT_LE(b_first.l1Misses, 8u)
         << "B-first must evict A and then stop missing (Fig. 4)";
     EXPECT_GT(a_first.cycles, b_first.cycles + 10000);
@@ -122,35 +118,27 @@ TEST_F(PlruMagnifierTest, EndToEndWithReorderRace)
 {
     // Full section 6.2 pipeline: a non-transient reorder race feeds the
     // reorder magnifier; a slow expression must yield a slow traversal.
-    auto config = PlruMagnifier::makeConfig(machine_, 3, 400);
-    PlruMagnifier magnifier(machine_, config, PlruVariant::Reorder);
+    PlruMagnifier magnifier(PlruVariant::Reorder, {3, 400});
+    const auto [a, b] = magnifier.inputLines(machine_);
 
     ReorderRaceConfig race_config;
-    race_config.addrA = config.a;
-    race_config.addrB = config.b;
     race_config.refOp = Opcode::Add;
     race_config.refOps = 60;
+    race_config.fastOps = 5;
+    race_config.slowOps = 150;
+    ReorderRace race(race_config);
+    race.bindTarget(machine_, a, b);
 
     // Fast expression: measurement path finishes first -> A's fill
     // lands before B's touch -> misses forever.
-    magnifier.prime();
-    {
-        ReorderRace race(machine_, race_config,
-                         TargetExpr::opChain(Opcode::Add, 5));
-        race.run();
-        machine_.settle();
-    }
-    const Cycle fast_expr_cycles = magnifier.traverse().cycles;
+    magnifier.prepare(machine_);
+    race.transmit(machine_, true);
+    const Cycle fast_expr_cycles = magnifier.traverse(machine_).cycles;
 
     // Slow expression: B's touch lands first -> A evicted -> all hits.
-    magnifier.prime();
-    {
-        ReorderRace race(machine_, race_config,
-                         TargetExpr::opChain(Opcode::Add, 150));
-        race.run();
-        machine_.settle();
-    }
-    const Cycle slow_expr_cycles = magnifier.traverse().cycles;
+    magnifier.prepare(machine_);
+    race.transmit(machine_, false);
+    const Cycle slow_expr_cycles = magnifier.traverse(machine_).cycles;
 
     EXPECT_GT(fast_expr_cycles, slow_expr_cycles + 10000)
         << "insertion order must be magnified into a large timing gap";
@@ -224,8 +212,8 @@ TEST(ArbitraryMagnifier, DelayedInputCreatesCascade)
     ArbitraryMagnifierConfig config;
     config.numSets = 32;
     config.repeats = 40;
-    ArbitraryMagnifier magnifier(machine, config);
-    const Cycle delta = magnifier.measureDelta();
+    ArbitraryMagnifier magnifier(config);
+    const Cycle delta = magnifier.measureDelta(machine);
     // The cascade must dwarf the initial ~200-cycle input delay.
     EXPECT_GT(delta, 10000u);
 }
@@ -240,8 +228,8 @@ TEST(ArbitraryMagnifier, DeltaGrowsWithRepeats)
         ArbitraryMagnifierConfig config;
         config.numSets = 32;
         config.repeats = repeats;
-        ArbitraryMagnifier magnifier(machine, config);
-        const Cycle delta = magnifier.measureDelta();
+        ArbitraryMagnifier magnifier(config);
+        const Cycle delta = magnifier.measureDelta(machine);
         EXPECT_GT(delta, previous * 2) << "repeats=" << repeats;
         previous = delta;
     }
@@ -259,12 +247,12 @@ TEST(ArbitraryMagnifier, WithoutPrefetchingSaturates)
     config.prefetch = false;
 
     config.repeats = 4;
-    ArbitraryMagnifier small(machine, config);
-    const Cycle small_delta = small.measureDelta();
+    ArbitraryMagnifier small(config);
+    const Cycle small_delta = small.measureDelta(machine);
 
     config.repeats = 64;
-    ArbitraryMagnifier large(machine, config);
-    const Cycle large_delta = large.measureDelta();
+    ArbitraryMagnifier large(config);
+    const Cycle large_delta = large.measureDelta(machine);
 
     // Without restoration the chain reaction dies after the first pass:
     // growth must be far less than proportional (16x repeats).
@@ -286,12 +274,21 @@ TEST(ArbitraryMagnifier, WorksAcrossReplacementPolicies)
         ArbitraryMagnifierConfig config;
         config.numSets = 32;
         config.repeats = 40;
-        ArbitraryMagnifier magnifier(machine, config);
+        ArbitraryMagnifier magnifier(config);
         const Cycle floor =
             policy == PolicyKind::Random ? 400u : 4000u;
-        EXPECT_GT(magnifier.measureDelta(), floor)
+        EXPECT_GT(magnifier.measureDelta(machine), floor)
             << "policy=" << policyKindName(policy);
     }
+}
+
+/** Slow-minus-fast cycles of one sample each way, fast first. */
+Cycle
+sampleDelta(TimingSource &source, Machine &machine)
+{
+    const Cycle fast = source.sample(machine, false).cycles;
+    const Cycle slow = source.sample(machine, true).cycles;
+    return slow > fast ? slow - fast : 0;
 }
 
 TEST(ArithMagnifier, DelayedInputCreatesContention)
@@ -299,8 +296,8 @@ TEST(ArithMagnifier, DelayedInputCreatesContention)
     Machine machine;
     ArithMagnifierConfig config;
     config.stages = 500;
-    ArithMagnifier magnifier(machine, config);
-    const Cycle delta = magnifier.measureDelta();
+    ArithMagnifier magnifier(config);
+    const Cycle delta = sampleDelta(magnifier, machine);
     EXPECT_GT(delta, 500u)
         << "divider contention must amplify the initial delay";
 }
@@ -312,8 +309,8 @@ TEST(ArithMagnifier, DeltaGrowsWithStages)
     for (int stages : {200, 800, 3200}) {
         ArithMagnifierConfig config;
         config.stages = stages;
-        ArithMagnifier magnifier(machine, config);
-        const Cycle delta = magnifier.measureDelta();
+        ArithMagnifier magnifier(config);
+        const Cycle delta = sampleDelta(magnifier, machine);
         EXPECT_GT(delta, previous) << "stages=" << stages;
         previous = delta;
     }
@@ -324,11 +321,11 @@ TEST(ArithMagnifier, UsesNoCacheBeyondTheHeads)
     Machine machine;
     ArithMagnifierConfig config;
     config.stages = 100;
-    ArithMagnifier magnifier(machine, config);
+    ArithMagnifier magnifier(config);
     const auto &l1 = machine.hierarchy().l1();
-    magnifier.run(true);
+    magnifier.sample(machine, false); // input present
     const std::uint64_t misses_before = l1.stats().misses;
-    magnifier.run(true);
+    magnifier.sample(machine, false);
     // Only sync + two head lines can miss per run.
     EXPECT_LE(l1.stats().misses - misses_before, 3u);
 }
@@ -344,12 +341,11 @@ TEST(ArithMagnifier, TimerInterruptFreezesTheDelta)
 
     ArithMagnifierConfig config;
     config.stages = 3200; // runtime spans several interrupt intervals
-    ArithMagnifier capped(machine, config);
-    const Cycle capped_delta = capped.measureDelta();
+    ArithMagnifier magnifier(config);
+    const Cycle capped_delta = sampleDelta(magnifier, machine);
 
     Machine free_machine; // no interrupts
-    ArithMagnifier free(free_machine, config);
-    const Cycle free_delta = free.measureDelta();
+    const Cycle free_delta = sampleDelta(magnifier, free_machine);
 
     EXPECT_LT(capped_delta, free_delta)
         << "pipeline resets must limit stateless magnification";

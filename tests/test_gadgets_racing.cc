@@ -19,24 +19,20 @@ TEST(TransientPaRace, ShortExprLosesRace)
     // Expression much shorter than the baseline: the branch resolves
     // before the transient body reaches the probe access -> absent.
     Machine machine;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 60;
-    TransientPaRace race(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 5));
-    race.train();
-    EXPECT_FALSE(race.attackAndProbe())
+    config.fastOps = 5;
+    EXPECT_FALSE(PaRace(config).sample(machine, false).bit)
         << "short expression must not leave the probe in the cache";
 }
 
 TEST(TransientPaRace, LongExprWinsRace)
 {
     Machine machine;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 20;
-    TransientPaRace race(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 80));
-    race.train();
-    EXPECT_TRUE(race.attackAndProbe())
+    config.slowOps = 80;
+    EXPECT_TRUE(PaRace(config).sample(machine, true).bit)
         << "long expression must leave the probe in the cache";
 }
 
@@ -45,15 +41,13 @@ TEST(TransientPaRace, ThresholdIsMonotonic)
     // For a fixed baseline, sweeping the expression length must flip
     // from absent to present exactly once (monotone race outcome).
     Machine machine;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 40;
 
     int first_present = -1;
     for (int n = 5; n <= 90; n += 5) {
-        TransientPaRace race(machine, config,
-                             TargetExpr::opChain(Opcode::Add, n));
-        race.train();
-        const bool present = race.attackAndProbe();
+        config.slowOps = n;
+        const bool present = PaRace(config).sample(machine, true).bit;
         if (present && first_present < 0)
             first_present = n;
         if (first_present >= 0) {
@@ -72,20 +66,15 @@ TEST(TransientPaRace, MulBaselineExtendsThreshold)
     // should race about 3k/3 = k MULs. Check a 60-add expr beats a
     // 10-mul baseline (60 > 30 cycles) but loses to a 40-mul baseline.
     Machine machine;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOp = Opcode::Mul;
+    config.slowOps = 60;
 
     config.refOps = 10;
-    TransientPaRace fast_base(machine, config,
-                              TargetExpr::opChain(Opcode::Add, 60));
-    fast_base.train();
-    EXPECT_TRUE(fast_base.attackAndProbe());
+    EXPECT_TRUE(PaRace(config).sample(machine, true).bit);
 
     config.refOps = 40;
-    TransientPaRace slow_base(machine, config,
-                              TargetExpr::opChain(Opcode::Add, 60));
-    slow_base.train();
-    EXPECT_FALSE(slow_base.attackAndProbe());
+    EXPECT_FALSE(PaRace(config).sample(machine, true).bit);
 }
 
 TEST(TransientPaRace, DistinguishesCacheHitFromMiss)
@@ -94,20 +83,20 @@ TEST(TransientPaRace, DistinguishesCacheHitFromMiss)
     // L1 hit time and the memory miss time classifies a load.
     Machine machine;
     constexpr Addr kTarget = 0x500'0000;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOp = Opcode::Mul;
     config.refOps = 12; // ~36 cycles: between L1 hit (4) and miss (210+)
-    TransientPaRace race(machine, config,
-                         TargetExpr::loadLatency(kTarget));
+    PaRaceProgram race(config, TargetExpr::loadLatency(kTarget));
 
     machine.warm(kTarget, 1);
-    race.train();
+    race.train(machine);
     machine.warm(kTarget, 1); // training polluted nothing, but be sure
-    EXPECT_FALSE(race.attackAndProbe()) << "L1 hit should lose the race";
+    EXPECT_FALSE(race.attackAndProbe(machine))
+        << "L1 hit should lose the race";
 
-    race.train();
+    race.train(machine);
     machine.flushLine(kTarget);
-    EXPECT_TRUE(race.attackAndProbe()) << "miss should win the race";
+    EXPECT_TRUE(race.attackAndProbe(machine)) << "miss should win the race";
 }
 
 TEST(TransientPaRace, IndirectArgumentCarriesAddress)
@@ -115,20 +104,22 @@ TEST(TransientPaRace, IndirectArgumentCarriesAddress)
     Machine machine;
     constexpr Addr kHot = 0x500'0000;
     constexpr Addr kCold = 0x600'0000;
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOp = Opcode::Mul;
     config.refOps = 12;
-    TransientPaRace race(machine, config,
-                         TargetExpr::loadIndirect(TransientPaRace::kArgReg));
+    PaRaceProgram race(config,
+                       TargetExpr::loadIndirect(PaRaceProgram::kArgReg));
 
     machine.warm(kHot, 1);
-    race.train(static_cast<std::int64_t>(kHot));
+    race.train(machine, static_cast<std::int64_t>(kHot));
     machine.warm(kHot, 1);
-    EXPECT_FALSE(race.attackAndProbe(static_cast<std::int64_t>(kHot)));
+    EXPECT_FALSE(
+        race.attackAndProbe(machine, static_cast<std::int64_t>(kHot)));
 
-    race.train(static_cast<std::int64_t>(kHot));
+    race.train(machine, static_cast<std::int64_t>(kHot));
     machine.flushLine(kCold);
-    EXPECT_TRUE(race.attackAndProbe(static_cast<std::int64_t>(kCold)));
+    EXPECT_TRUE(
+        race.attackAndProbe(machine, static_cast<std::int64_t>(kCold)));
 }
 
 TEST(TransientPaRace, RobBoundsTheBaselineLength)
@@ -140,12 +131,10 @@ TEST(TransientPaRace, RobBoundsTheBaselineLength)
     // extremely slow expression.
     MachineConfig mc = MachineConfig::effectiveWindowProfile(); // ROB 64
     Machine machine(mc);
-    TransientPaRaceConfig config;
+    PaRaceConfig config;
     config.refOps = 300; // far beyond the 64-entry window
-    TransientPaRace race(machine, config,
-                         TargetExpr::opChain(Opcode::Add, 2000));
-    race.train();
-    EXPECT_FALSE(race.attackAndProbe())
+    config.slowOps = 2000;
+    EXPECT_FALSE(PaRace(config).sample(machine, true).bit)
         << "baseline beyond the ROB window can never reach the probe";
 }
 
@@ -157,16 +146,16 @@ TEST(ReorderRace, CompletionOrderBecomesFillOrder)
     // in a 2-line probe: instead, use fill stats ordering indirectly by
     // checking both lines landed).
     Machine machine(MachineConfig::plruProfile());
+    constexpr Addr kA = 0x500'0000;
+    constexpr Addr kB = 0x500'2000; // 8 KB apart: same L1 set (128 x 64B)
     ReorderRaceConfig config;
-    config.addrA = 0x500'0000;
-    config.addrB = 0x500'2000; // 8 KB apart: same L1 set (128 sets x 64B)
     config.refOps = 30;
-    ReorderRace race(machine, config,
-                     TargetExpr::opChain(Opcode::Add, 5));
-    race.run();
-    machine.settle();
-    EXPECT_NE(machine.probeLevel(config.addrA), 0);
-    EXPECT_NE(machine.probeLevel(config.addrB), 0);
+    config.fastOps = 5;
+    ReorderRace race(config);
+    race.bindTarget(machine, kA, kB);
+    race.transmit(machine, true); // runs the 5-op chain, then settles
+    EXPECT_NE(machine.probeLevel(kA), 0);
+    EXPECT_NE(machine.probeLevel(kB), 0);
 }
 
 TEST(ReorderRace, NoBranchesNoMispredicts)
@@ -174,15 +163,16 @@ TEST(ReorderRace, NoBranchesNoMispredicts)
     // The defining property of section 5.2: no speculation whatsoever.
     Machine machine;
     ReorderRaceConfig config;
-    config.addrA = 0x500'0000;
-    config.addrB = 0x501'0000;
     config.refOps = 30;
-    ReorderRace race(machine, config,
-                     TargetExpr::opChain(Opcode::Add, 50));
-    RunResult result = race.run();
-    EXPECT_EQ(result.counters.mispredicts, 0u);
-    EXPECT_EQ(result.counters.squashedInstrs, 0u);
-    EXPECT_EQ(result.counters.branches, 0u);
+    config.fastOps = 50;
+    ReorderRace race(config);
+    race.bindTarget(machine, 0x500'0000, 0x501'0000);
+    const PerfCounters before = machine.core().counters();
+    race.transmit(machine, true);
+    const PerfCounters result = machine.core().counters() - before;
+    EXPECT_EQ(result.mispredicts, 0u);
+    EXPECT_EQ(result.squashedInstrs, 0u);
+    EXPECT_EQ(result.branches, 0u);
 }
 
 } // namespace

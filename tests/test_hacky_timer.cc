@@ -1,7 +1,7 @@
 /**
  * @file
- * HackyTimer facade and repetition-gadget tests: the end-to-end
- * stealthy timer and the constant-time envelope.
+ * HackyTimer and repetition-gadget tests: the end-to-end stealthy
+ * timer, the stage runner, and the constant-time envelope.
  */
 
 #include <gtest/gtest.h>
@@ -24,8 +24,8 @@ class HackyTimerTest : public ::testing::Test
 
 TEST_F(HackyTimerTest, CalibratesASaneThreshold)
 {
-    HackyTimer timer(machine_, HackyTimerConfig{});
-    timer.calibrate();
+    HackyTimer timer;
+    timer.calibrate(machine_);
     EXPECT_GT(timer.thresholdNs(), 0.0);
     // With a 5 us clock the threshold must span multiple ticks.
     EXPECT_GE(timer.thresholdNs(), 5000.0);
@@ -33,8 +33,8 @@ TEST_F(HackyTimerTest, CalibratesASaneThreshold)
 
 TEST_F(HackyTimerTest, UseBeforeCalibrateDies)
 {
-    HackyTimer timer(machine_, HackyTimerConfig{});
-    EXPECT_DEATH((void)timer.loadIsSlow(0x500'0000),
+    HackyTimer timer;
+    EXPECT_DEATH((void)timer.loadIsSlow(machine_, 0x500'0000),
                  "before calibrate");
 }
 
@@ -42,17 +42,17 @@ TEST_F(HackyTimerTest, ClassifiesLoadsRepeatedly)
 {
     HackyTimerConfig config;
     config.refOps = 12;
-    HackyTimer timer(machine_, config);
-    timer.calibrate();
+    HackyTimer timer(config);
+    timer.calibrate(machine_);
     constexpr Addr kTarget = 0x500'0000;
     int correct = 0;
     for (int trial = 0; trial < 10; ++trial) {
         if (trial % 2 == 0) {
             machine_.warm(kTarget, 1);
-            correct += !timer.loadIsSlow(kTarget);
+            correct += !timer.loadIsSlow(machine_, kTarget);
         } else {
             machine_.flushLine(kTarget);
-            correct += timer.loadIsSlow(kTarget);
+            correct += timer.loadIsSlow(machine_, kTarget);
         }
     }
     EXPECT_EQ(correct, 10) << "the stealthy timer must be reliable";
@@ -62,14 +62,14 @@ TEST_F(HackyTimerTest, SeparatesL3FromMemoryWithLongerReference)
 {
     HackyTimerConfig config;
     config.refOps = 30; // ~90+ cycles: above L3 hit, below memory
-    HackyTimer timer(machine_, config);
-    timer.calibrate();
+    HackyTimer timer(config);
+    timer.calibrate(machine_);
     constexpr Addr kTarget = 0x500'0000;
 
     machine_.warm(kTarget, 3); // LLC hit
-    EXPECT_FALSE(timer.loadIsSlow(kTarget));
+    EXPECT_FALSE(timer.loadIsSlow(machine_, kTarget));
     machine_.flushLine(kTarget); // memory
-    EXPECT_TRUE(timer.loadIsSlow(kTarget));
+    EXPECT_TRUE(timer.loadIsSlow(machine_, kTarget));
 }
 
 TEST_F(HackyTimerTest, ExprComparatorTracksTheReference)
@@ -77,12 +77,15 @@ TEST_F(HackyTimerTest, ExprComparatorTracksTheReference)
     HackyTimerConfig config;
     config.refOp = Opcode::Add;
     config.refOps = 40;
-    HackyTimer timer(machine_, config);
-    timer.calibrate();
-    EXPECT_FALSE(timer.exprIsSlow(TargetExpr::opChain(Opcode::Add, 8)));
-    EXPECT_TRUE(timer.exprIsSlow(TargetExpr::opChain(Opcode::Add, 90)));
+    HackyTimer timer(config);
+    timer.calibrate(machine_);
+    EXPECT_FALSE(
+        timer.exprIsSlow(machine_, TargetExpr::opChain(Opcode::Add, 8)));
+    EXPECT_TRUE(
+        timer.exprIsSlow(machine_, TargetExpr::opChain(Opcode::Add, 90)));
     // MUL targets weigh ~3x.
-    EXPECT_TRUE(timer.exprIsSlow(TargetExpr::opChain(Opcode::Mul, 25)));
+    EXPECT_TRUE(
+        timer.exprIsSlow(machine_, TargetExpr::opChain(Opcode::Mul, 25)));
 }
 
 TEST_F(HackyTimerTest, WorksThroughAOneMillisecondClock)
@@ -91,22 +94,22 @@ TEST_F(HackyTimerTest, WorksThroughAOneMillisecondClock)
     config.timer.resolutionNs = 1e6;
     config.refOps = 12;
     config.magnifierRepeats = 0; // auto-scale to the clock
-    HackyTimer timer(machine_, config);
-    timer.calibrate();
+    HackyTimer timer(config);
+    timer.calibrate(machine_);
     constexpr Addr kTarget = 0x500'0000;
     machine_.warm(kTarget, 1);
-    EXPECT_FALSE(timer.loadIsSlow(kTarget));
+    EXPECT_FALSE(timer.loadIsSlow(machine_, kTarget));
     machine_.flushLine(kTarget);
-    EXPECT_TRUE(timer.loadIsSlow(kTarget));
+    EXPECT_TRUE(timer.loadIsSlow(machine_, kTarget));
 }
 
 TEST_F(HackyTimerTest, StatsAccumulate)
 {
-    HackyTimer timer(machine_, HackyTimerConfig{});
-    timer.calibrate();
+    HackyTimer timer;
+    timer.calibrate(machine_);
     machine_.warm(0x500'0000, 1);
-    (void)timer.loadIsSlow(0x500'0000);
-    (void)timer.loadIsSlow(0x500'0000);
+    (void)timer.loadIsSlow(machine_, 0x500'0000);
+    (void)timer.loadIsSlow(machine_, 0x500'0000);
     EXPECT_EQ(timer.stats().queries, 2u);
     EXPECT_GT(timer.stats().cyclesSpent, 0u);
 }
@@ -115,7 +118,7 @@ TEST(RepetitionGadget, AccumulatesPerStageCycles)
 {
     Machine machine;
     auto make_stage = [](const char *name, int ops) {
-        RepetitionGadget::Stage stage;
+        RepetitionStage stage;
         stage.name = name;
         ProgramBuilder builder(name);
         RegId r = builder.movImm(1);
@@ -125,9 +128,10 @@ TEST(RepetitionGadget, AccumulatesPerStageCycles)
         stage.program = builder.take();
         return stage;
     };
-    RepetitionGadget gadget(machine, {make_stage("short", 20),
-                                      make_stage("long", 200)});
-    StageBreakdown breakdown = gadget.run(10);
+    std::vector<RepetitionStage> stages;
+    stages.push_back(make_stage("short", 20));
+    stages.push_back(make_stage("long", 200));
+    StageBreakdown breakdown = runStages(machine, stages, 10);
     ASSERT_EQ(breakdown.cycles.size(), 2u);
     EXPECT_GT(breakdown.cycles[1], breakdown.cycles[0] * 3);
     EXPECT_NEAR(breakdown.percent(0) + breakdown.percent(1), 100.0,
@@ -138,14 +142,15 @@ TEST(RepetitionGadget, SetupHookRunsEveryRound)
 {
     Machine machine;
     int calls = 0;
-    RepetitionGadget::Stage stage;
+    RepetitionStage stage;
     stage.name = "s";
     ProgramBuilder builder("s");
     builder.halt();
     stage.program = builder.take();
     stage.setup = [&calls](Machine &) { ++calls; };
-    RepetitionGadget gadget(machine, {std::move(stage)});
-    gadget.run(7);
+    std::vector<RepetitionStage> stages;
+    stages.push_back(std::move(stage));
+    runStages(machine, stages, 7);
     EXPECT_EQ(calls, 7);
 }
 

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "exp/sweep.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"
+#include "util/log.hh"
 
 namespace hr
 {

@@ -23,7 +23,8 @@ cd "$root"
 # src/core) legitimately touch the hierarchy: they implement it.
 # examples/ ships copy-paste starting points, so it must model the
 # traced idiom too — a raw read there propagates into user code.
-scan_dirs="bench examples src/gadgets src/channel src/detect src/timer src/exp src/analysis tests"
+# src/attacks runs inside trials (tab_evset, tab_spectreback).
+scan_dirs="bench examples src/attacks src/gadgets src/channel src/detect src/timer src/exp src/analysis tests"
 
 # Stateful reads that have traced Machine equivalents.
 pattern='hierarchy\(\)\.(contextStats|cacheMisses|probeLevel|peek)\('
