@@ -17,6 +17,7 @@
 #include "analysis/leakage.hh"
 #include "channel/channel.hh"
 #include "channel/channel_registry.hh"
+#include "digest.hh"
 #include "exp/perf.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
@@ -265,6 +266,21 @@ TEST(Analysis, DriverDeterministicAcrossJobs)
     }
     EXPECT_EQ(renders[0], renders[1]);
     EXPECT_NE(renders[0].find("\"leak_class\""), std::string::npos);
+}
+
+TEST(Analysis, GoldenAnalyzeAllDigest)
+{
+    // `hr_bench analyze --all --format=json`, cross-validation on: every
+    // gadget, channel and demo program. A mismatch changes the
+    // analyzer's verdicts or its validation runs.
+    AnalyzeOptions options;
+    options.all = true;
+    options.jobs = 4;
+    std::ostringstream os;
+    printReportJson(os, runAnalysis(options));
+    Digest digest;
+    digest.text(os.str());
+    EXPECT_EQ(hexDigest(digest.value()), "0x3fa52d892eafdfa2");
 }
 
 // ---------------------------------------------------------------------

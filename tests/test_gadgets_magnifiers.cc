@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "gadgets/arbitrary_magnifier.hh"
 #include "gadgets/arith_magnifier.hh"
 #include "gadgets/plru_magnifier.hh"
@@ -170,6 +175,62 @@ TEST(PlruPattern, TwoWayCacheAdmitsNoPinPattern)
     // the tree at the pinned line, so no miss-bearing cycle can avoid
     // evicting it. The finder must prove this by exhaustion.
     EXPECT_FALSE(findPinPattern(2, 20).has_value());
+}
+
+TEST(PlruPattern, GoldenPatternsPerAssociativity)
+{
+    // The pattern is the program of plru_pin_magnifier and
+    // rs2_plru_pin, so every digest depends on it. Recorded from the
+    // string-keyed std::map search; any faster search must agree.
+    struct Golden
+    {
+        int assoc;
+        std::vector<int> maxLens;
+        std::vector<int> accesses;
+    };
+    const Golden goldens[] = {
+        {4, {6, 16, 20}, {1, 3, 2, 4, 3, 2}},
+        {8, {8, 16, 20}, {1, 6, 7, 2, 5, 6, 7, 2}},
+        {16, {10, 16, 20}, {1, 10, 11, 14, 2, 9, 10, 12, 15, 2}},
+    };
+    for (const Golden &golden : goldens) {
+        for (int max_len : golden.maxLens) {
+            const auto pattern = findPinPattern(golden.assoc, max_len);
+            ASSERT_TRUE(pattern.has_value())
+                << "assoc=" << golden.assoc << " max_len=" << max_len;
+            EXPECT_EQ(pattern->leadIn, std::vector<int>{2})
+                << "assoc=" << golden.assoc << " max_len=" << max_len;
+            EXPECT_EQ(pattern->accesses, golden.accesses)
+                << "assoc=" << golden.assoc << " max_len=" << max_len;
+            EXPECT_EQ(pattern->missesPerPeriod, 2)
+                << "assoc=" << golden.assoc << " max_len=" << max_len;
+        }
+    }
+    // One below each shortest period: no pattern fits.
+    for (auto [assoc, max_len] :
+         {std::pair{2, 20}, {4, 5}, {8, 7}, {16, 9}}) {
+        EXPECT_FALSE(findPinPattern(assoc, max_len).has_value())
+            << "assoc=" << assoc << " max_len=" << max_len;
+    }
+}
+
+TEST(PlruPattern, ConcurrentFirstCallsAgree)
+{
+    // Callers racing on one (assoc, max_len) must all see the same
+    // pattern (the thread-sanitize CI job runs this under TSan).
+    std::vector<std::optional<PinPattern>> results(4);
+    std::vector<std::thread> threads;
+    for (auto &result : results)
+        threads.emplace_back([&result] { result = findPinPattern(8, 16); });
+    for (auto &thread : threads)
+        thread.join();
+    ASSERT_TRUE(results[0].has_value());
+    for (const auto &result : results) {
+        ASSERT_TRUE(result.has_value());
+        EXPECT_EQ(result->leadIn, results[0]->leadIn);
+        EXPECT_EQ(result->accesses, results[0]->accesses);
+        EXPECT_EQ(result->missesPerPeriod, results[0]->missesPerPeriod);
+    }
 }
 
 TEST(PlruPattern, SetModelMatchesFig3Walkthrough)
