@@ -150,6 +150,13 @@ TreePlruPolicy::setBits(const std::vector<std::uint8_t> &bits)
     bits_ = bits;
 }
 
+void
+TreePlruPolicy::setPackedBits(std::uint64_t bits)
+{
+    for (std::size_t node = 0; node < bits_.size(); ++node)
+        bits_[node] = static_cast<std::uint8_t>((bits >> node) & 1);
+}
+
 // ----------------------------------------------------------------- LRU
 
 LruPolicy::LruPolicy(int assoc)

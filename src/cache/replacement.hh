@@ -126,6 +126,8 @@ class TreePlruPolicy : public ReplacementPolicy
     /** Direct bit access for tests and the pin-pattern search. */
     const std::vector<std::uint8_t> &bits() const { return bits_; }
     void setBits(const std::vector<std::uint8_t> &bits);
+    /** Node i takes bit i of @p bits (no allocation). */
+    void setPackedBits(std::uint64_t bits);
 
   private:
     std::vector<std::uint8_t> bits_; // assoc-1 nodes, heap order

@@ -1,9 +1,11 @@
 #include "gadgets/plru_pattern.hh"
 
 #include <algorithm>
+#include <future>
 #include <map>
+#include <mutex>
 #include <optional>
-#include <queue>
+#include <utility>
 
 #include "gadgets/plru_magnifier.hh"
 #include "util/log.hh"
@@ -87,6 +89,31 @@ PlruSetModel::operator==(const PlruSetModel &other) const
     return contents_ == other.contents_ && bits() == other.bits();
 }
 
+// Way w's line id + 1 takes 5 bits of word w / 12, from bit
+// 5 * (w % 12): ways 0..11 fill word 0 and ways 12..15 the low bits of
+// word 1, whose tree bits start at bit 32.
+PlruSetModel::Packed
+PlruSetModel::pack() const
+{
+    Packed state{};
+    for (std::size_t w = 0; w < contents_.size(); ++w)
+        state[w / 12] |= static_cast<std::uint64_t>(contents_[w] + 1)
+                         << (5 * (w % 12));
+    const auto &tree = bits();
+    for (std::size_t node = 0; node < tree.size(); ++node)
+        state[1] |= static_cast<std::uint64_t>(tree[node]) << (32 + node);
+    return state;
+}
+
+void
+PlruSetModel::unpack(const Packed &state)
+{
+    for (std::size_t w = 0; w < contents_.size(); ++w)
+        contents_[w] =
+            static_cast<int>((state[w / 12] >> (5 * (w % 12))) & 31) - 1;
+    plru_.setPackedBits(state[1] >> 32);
+}
+
 namespace
 {
 
@@ -103,17 +130,207 @@ canonicalBaseState(int assoc)
     return model;
 }
 
-/** Serializable key for visited-state tracking. */
-std::string
-stateKey(const PlruSetModel &model)
+/**
+ * Packed states numbered in discovery order, with an open-addressing
+ * index. A slot holds the upper half of the state's hash and its
+ * number + 1 (0: empty); the table doubles once half full.
+ */
+class StateSet
 {
-    std::string key;
-    for (int line : model.contents())
-        key += static_cast<char>(line + 2);
-    key += '|';
-    for (auto bit : model.bits())
-        key += static_cast<char>('0' + bit);
-    return key;
+  public:
+    /** The number of @p state, and whether it was added just now. */
+    std::pair<int, bool>
+    insert(const PlruSetModel::Packed &state)
+    {
+        const std::uint64_t h = hash(state);
+        std::size_t i = h & mask_;
+        for (; table_[i] != 0; i = (i + 1) & mask_) {
+            const std::uint64_t slot = table_[i];
+            const std::size_t number = (slot & 0xffffffffu) - 1;
+            if ((slot >> 32) == (h >> 32) && states_[number] == state)
+                return {static_cast<int>(number), false};
+        }
+        states_.push_back(state);
+        if (2 * states_.size() > table_.size())
+            rehash(2 * table_.size());
+        else
+            table_[i] = (h & ~0xffffffffull) | states_.size();
+        return {static_cast<int>(states_.size()) - 1, true};
+    }
+
+    const PlruSetModel::Packed &
+    operator[](std::size_t number) const
+    {
+        return states_[number];
+    }
+
+    std::size_t size() const { return states_.size(); }
+
+  private:
+    static std::uint64_t
+    hash(const PlruSetModel::Packed &state)
+    {
+        // splitmix64 finalizer over both words.
+        std::uint64_t h = state[0] ^ (state[1] * 0x9e3779b97f4a7c15ull);
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        return h ^ (h >> 31);
+    }
+
+    void
+    rehash(std::size_t capacity)
+    {
+        table_.assign(capacity, 0);
+        mask_ = capacity - 1;
+        for (std::size_t n = 0; n < states_.size(); ++n) {
+            const std::uint64_t h = hash(states_[n]);
+            std::size_t i = h & mask_;
+            while (table_[i] != 0)
+                i = (i + 1) & mask_;
+            table_[i] = (h & ~0xffffffffull) | (n + 1);
+        }
+    }
+
+    std::vector<PlruSetModel::Packed> states_;
+    std::vector<std::uint64_t> table_ = std::vector<std::uint64_t>(1024);
+    std::size_t mask_ = 1023;
+};
+
+std::optional<PinPattern>
+searchPinPattern(int assoc, int max_len)
+{
+    // Post-race state: pinned line 0 inserted over the candidate.
+    PlruSetModel model = canonicalBaseState(assoc);
+    model.access(0);
+
+    // Build the reachable state graph over accesses that never evict
+    // the pinned line. Fig. 3's own cycle returns to a way-permuted
+    // equivalent of its start, so we search for *any* cycle containing
+    // a miss edge, plus a lead-in path from the start state. Nodes are
+    // numbered in discovery order; expanded node n's edge for line l
+    // (the alphabet is 1..W+1) sits in slot n * (W + 1) + l - 1. Nodes
+    // found past kMaxNodes are not expanded and have no edges.
+    struct Edge
+    {
+        int to = -1; // -1: the access evicts the pinned line
+        bool miss = false;
+    };
+    const std::size_t letters = static_cast<std::size_t>(assoc) + 1;
+    StateSet nodes;
+    nodes.insert(model.pack());
+    std::vector<Edge> edges;
+    std::vector<int> parent{-1}, parent_line{-1}; // BFS tree for lead-ins
+
+    constexpr std::size_t kMaxNodes = 200'000;
+    for (std::size_t at = 0; at < nodes.size() && at < kMaxNodes; ++at) {
+        edges.resize(edges.size() + letters);
+        for (std::size_t slot = 0; slot < letters; ++slot) {
+            const int line = static_cast<int>(slot) + 1;
+            model.unpack(nodes[at]);
+            const bool miss = model.access(line);
+            if (!model.contains(0))
+                continue; // pinned line evicted: dead edge
+            const auto [to, inserted] = nodes.insert(model.pack());
+            if (inserted) {
+                parent.push_back(static_cast<int>(at));
+                parent_line.push_back(line);
+            }
+            edges[at * letters + slot] = {to, miss};
+        }
+    }
+    const std::size_t expanded = edges.size() / letters;
+
+    // Shortest path from -> to of at most max_depth edges, as line
+    // labels. A BFS stamps the nodes it reaches with its generation and
+    // records the edge slot it reached them by; it stops once `to` is
+    // reached, as the path to `to` is fixed from then on.
+    std::vector<std::uint32_t> seen(nodes.size(), 0);
+    std::vector<std::size_t> via(nodes.size());
+    std::vector<int> frontier;
+    std::uint32_t generation = 0;
+    auto bfs_path = [&](int from, int to,
+                        int max_depth) -> std::optional<std::vector<int>> {
+        const auto reached = [&](int node) {
+            return seen[static_cast<std::size_t>(node)] == generation;
+        };
+        ++generation;
+        seen[static_cast<std::size_t>(from)] = generation;
+        frontier.assign(1, from);
+        std::size_t head = 0;
+        for (int depth = 0; depth < max_depth && !reached(to) &&
+                            head < frontier.size();
+             ++depth) {
+            for (const std::size_t level_end = frontier.size();
+                 head < level_end && !reached(to); ++head) {
+                if (static_cast<std::size_t>(frontier[head]) >= expanded)
+                    continue;
+                const std::size_t first =
+                    static_cast<std::size_t>(frontier[head]) * letters;
+                for (std::size_t slot = first; slot < first + letters;
+                     ++slot) {
+                    const int next = edges[slot].to;
+                    if (next < 0 || reached(next))
+                        continue;
+                    seen[static_cast<std::size_t>(next)] = generation;
+                    via[static_cast<std::size_t>(next)] = slot;
+                    frontier.push_back(next);
+                }
+            }
+        }
+        if (!reached(to))
+            return std::nullopt;
+        std::vector<int> labels;
+        for (int at = to; at != from;) {
+            const std::size_t slot = via[static_cast<std::size_t>(at)];
+            labels.push_back(static_cast<int>(slot % letters) + 1);
+            at = static_cast<int>(slot / letters);
+        }
+        std::reverse(labels.begin(), labels.end());
+        return labels;
+    };
+
+    // Find the shortest cycle through some miss edge (u -> v): BFS from
+    // v back to u, then stitch the edge labels. A cycle must fit
+    // max_len and beat the best so far, which bounds the BFS depth; up
+    // to that depth its discovery order, and so the path it picks, is
+    // that of an unbounded BFS.
+    std::optional<PinPattern> best;
+    int attempts = 0;
+    for (std::size_t u = 0; u < expanded && attempts < 400; ++u) {
+        for (std::size_t slot = 0; slot < letters; ++slot) {
+            const Edge &edge = edges[u * letters + slot];
+            if (edge.to < 0 || !edge.miss)
+                continue;
+            ++attempts;
+            const int longest =
+                best ? std::min(max_len,
+                                static_cast<int>(best->accesses.size()) - 1)
+                     : max_len;
+            if (longest < 1)
+                continue;
+            auto back = bfs_path(edge.to, static_cast<int>(u), longest - 1);
+            if (!back)
+                continue;
+            PinPattern pattern;
+            pattern.accesses = {static_cast<int>(slot) + 1};
+            pattern.accesses.insert(pattern.accesses.end(), back->begin(),
+                                    back->end());
+            // Lead-in: BFS-tree path from the start to u.
+            for (int at = static_cast<int>(u); at != 0;
+                 at = parent[static_cast<std::size_t>(at)])
+                pattern.leadIn.push_back(
+                    parent_line[static_cast<std::size_t>(at)]);
+            std::reverse(pattern.leadIn.begin(), pattern.leadIn.end());
+            // Count misses per period by simulation from u.
+            model.unpack(nodes[u]);
+            for (int line : pattern.accesses)
+                pattern.missesPerPeriod += model.access(line) ? 1 : 0;
+            best = std::move(pattern);
+        }
+        if (best && best->accesses.size() <= 2)
+            break;
+    }
+    return best;
 }
 
 } // namespace
@@ -123,130 +340,30 @@ findPinPattern(int assoc, int max_len)
 {
     fatalIf(assoc < 2 || (assoc & (assoc - 1)) != 0,
             "findPinPattern: associativity must be a power of two");
+    fatalIf(assoc > PlruSetModel::kMaxPackedAssoc,
+            "findPinPattern: associativity above " +
+                std::to_string(PlruSetModel::kMaxPackedAssoc) +
+                " is not supported");
 
-    // Post-race state: pinned line 0 inserted over the candidate.
-    PlruSetModel start = canonicalBaseState(assoc);
-    start.access(0);
-
-    // Build the reachable state graph over accesses that never evict
-    // the pinned line. Fig. 3's own cycle returns to a way-permuted
-    // equivalent of its start, so we search for *any* cycle containing
-    // a miss edge, plus a lead-in path from the start state.
-    struct EdgeRec
+    // The first caller of a pair runs the search; later callers, and
+    // callers racing with it, wait on its shared future.
+    using Result = std::shared_future<std::optional<PinPattern>>;
+    static std::mutex mutex;
+    static std::map<std::pair<int, int>, Result> memo;
+    std::promise<std::optional<PinPattern>> search;
+    Result result;
+    bool first = false;
     {
-        int line;
-        int to; // node index
-        bool miss;
-    };
-    std::vector<PlruSetModel> nodes;
-    std::vector<std::vector<EdgeRec>> edges;
-    std::vector<int> parent, parent_line; // BFS tree for lead-ins
-    std::map<std::string, int> index;
-
-    std::vector<int> alphabet;
-    for (int line = 1; line <= assoc + 1; ++line)
-        alphabet.push_back(line);
-
-    nodes.push_back(start);
-    edges.emplace_back();
-    parent.push_back(-1);
-    parent_line.push_back(-1);
-    index[stateKey(start)] = 0;
-
-    constexpr std::size_t kMaxNodes = 200'000;
-    for (std::size_t at = 0; at < nodes.size() && at < kMaxNodes; ++at) {
-        for (int line : alphabet) {
-            PlruSetModel next = nodes[at];
-            const bool miss = next.access(line);
-            if (!next.contains(0))
-                continue; // pinned line evicted: dead edge
-            const std::string key = stateKey(next);
-            auto [it, inserted] =
-                index.try_emplace(key, static_cast<int>(nodes.size()));
-            if (inserted) {
-                nodes.push_back(next);
-                edges.emplace_back();
-                parent.push_back(static_cast<int>(at));
-                parent_line.push_back(line);
-            }
-            edges[at].push_back({line, it->second, miss});
-        }
+        std::lock_guard<std::mutex> lock(mutex);
+        auto [it, inserted] = memo.try_emplace({assoc, max_len});
+        if (inserted)
+            it->second = search.get_future().share();
+        first = inserted;
+        result = it->second;
     }
-
-    // Find the shortest cycle through some miss edge (u -> v): BFS from
-    // v back to u inside the graph, then stitch the edge labels.
-    auto bfs_path = [&](int from, int to) -> std::optional<std::vector<int>> {
-        std::vector<int> prev(nodes.size(), -2), prev_line(nodes.size());
-        std::queue<int> frontier;
-        frontier.push(from);
-        prev[static_cast<std::size_t>(from)] = -1;
-        while (!frontier.empty()) {
-            const int at = frontier.front();
-            frontier.pop();
-            if (at == to)
-                break;
-            for (const auto &edge : edges[static_cast<std::size_t>(at)]) {
-                if (prev[static_cast<std::size_t>(edge.to)] != -2)
-                    continue;
-                prev[static_cast<std::size_t>(edge.to)] = at;
-                prev_line[static_cast<std::size_t>(edge.to)] = edge.line;
-                frontier.push(edge.to);
-            }
-        }
-        if (prev[static_cast<std::size_t>(to)] == -2 && from != to)
-            return std::nullopt;
-        std::vector<int> labels;
-        for (int at = to; at != from || labels.empty();) {
-            if (at == from)
-                break;
-            labels.push_back(prev_line[static_cast<std::size_t>(at)]);
-            at = prev[static_cast<std::size_t>(at)];
-        }
-        std::reverse(labels.begin(), labels.end());
-        return labels;
-    };
-
-    std::optional<PinPattern> best;
-    int attempts = 0;
-    for (std::size_t u = 0; u < nodes.size() && attempts < 400; ++u) {
-        for (const auto &edge : edges[u]) {
-            if (!edge.miss)
-                continue;
-            ++attempts;
-            auto back = bfs_path(edge.to, static_cast<int>(u));
-            if (!back)
-                continue;
-            std::vector<int> cycle{edge.line};
-            cycle.insert(cycle.end(), back->begin(), back->end());
-            if (static_cast<int>(cycle.size()) > max_len)
-                continue;
-            if (best && best->accesses.size() <= cycle.size())
-                continue;
-            PinPattern pattern;
-            pattern.accesses = cycle;
-            // Lead-in: BFS-tree path from the start to u.
-            std::vector<int> lead;
-            for (int at = static_cast<int>(u); parent[static_cast<
-                     std::size_t>(at)] != -1 || at != 0;) {
-                if (at == 0)
-                    break;
-                lead.push_back(parent_line[static_cast<std::size_t>(at)]);
-                at = parent[static_cast<std::size_t>(at)];
-            }
-            std::reverse(lead.begin(), lead.end());
-            pattern.leadIn = lead;
-            // Count misses per period by simulation from u.
-            PlruSetModel sim = nodes[u];
-            int misses = 0;
-            for (int line : cycle)
-                misses += sim.access(line) ? 1 : 0;
-            pattern.missesPerPeriod = misses;
-            best = pattern;
-        }
-        if (best && best->accesses.size() <= 2)
-            break;
-    }
-    return best;
+    if (first)
+        search.set_value(searchPinPattern(assoc, max_len));
+    return result.get();
 }
 
 bool
@@ -308,10 +425,11 @@ PlruPinMagnifier::compatible(const Machine &machine) const
 {
     const auto &l1 = machine.hierarchy().l1().config();
     if (l1.policy != PolicyKind::TreePlru || l1.assoc < 4 ||
+        l1.assoc > PlruSetModel::kMaxPackedAssoc ||
         (l1.assoc & (l1.assoc - 1)) != 0 || cfg_.set >= l1.numSets) {
         return false;
     }
-    return patternFor(l1.assoc).has_value();
+    return findPinPattern(l1.assoc, cfg_.maxLen).has_value();
 }
 
 std::unique_ptr<TimingSource>
@@ -320,24 +438,13 @@ PlruPinMagnifier::clone() const
     return std::make_unique<PlruPinMagnifier>(cfg_);
 }
 
-const std::optional<PinPattern> &
-PlruPinMagnifier::patternFor(int assoc) const
-{
-    if (patternAssoc_ != assoc || patternMaxLen_ != cfg_.maxLen) {
-        pattern_ = findPinPattern(assoc, cfg_.maxLen);
-        patternAssoc_ = assoc;
-        patternMaxLen_ = cfg_.maxLen;
-    }
-    return pattern_;
-}
-
 void
 PlruPinMagnifier::ensure(Machine &machine)
 {
     if (binding_.boundTo(machine))
         return;
     const int assoc = machine.hierarchy().l1().config().assoc;
-    const auto &pattern = patternFor(assoc);
+    const auto pattern = findPinPattern(assoc, cfg_.maxLen);
     fatalIf(!pattern, "plru_pin_magnifier: no pin pattern for W=" +
                           std::to_string(assoc));
     // Line ids 0 (pinned) .. W+1 (the search alphabet's spare).

@@ -4,18 +4,26 @@
  *
  * The paper gives the W = 4 pin pattern (B,C,E,C,D,C) by hand. This
  * module derives such patterns automatically for any power-of-two
- * associativity by breadth-first search over (contents, tree-bits)
- * states: find a cyclic access sequence over the non-pinned lines that
- * (a) never evicts the pinned line, (b) returns the set to its starting
- * state, and (c) misses at least once per period. This supports the
- * paper's argument (section 9) that removing W = 4 PLRU caches "will
- * only cause the attacker to change strategy". PlruPinMagnifier
- * (`plru_pin_magnifier`) is the magnifier built on such a pattern.
+ * associativity up to 16 by breadth-first search over (contents,
+ * tree-bits) states: find a cyclic access sequence over the non-pinned
+ * lines that (a) never evicts the pinned line, (b) returns the set to
+ * its starting state, and (c) misses at least once per period. This
+ * supports the paper's argument (section 9) that removing W = 4 PLRU
+ * caches "will only cause the attacker to change strategy".
+ * PlruPinMagnifier (`plru_pin_magnifier`, and the `rs2_plru_pin`
+ * channel on top of it) is the magnifier built on such a pattern.
+ *
+ * The search is the source of truth for every pattern: there is no
+ * table of known answers. It is a pure function of (assoc, max_len),
+ * so findPinPattern() runs it once per pair per process and hands the
+ * memoized result to every later caller.
  */
 
 #ifndef HR_GADGETS_PLRU_PATTERN_HH
 #define HR_GADGETS_PLRU_PATTERN_HH
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,6 +67,16 @@ class PlruSetModel
 
     bool operator==(const PlruSetModel &other) const;
 
+    /** Widest set pack() can hold. */
+    static constexpr int kMaxPackedAssoc = 16;
+
+    /** Contents (line id + 1, 5 bits per way, so ids up to 30) and
+     * tree bits in two words; unpack() restores a model of the same
+     * associativity. */
+    using Packed = std::array<std::uint64_t, 2>;
+    Packed pack() const;
+    void unpack(const Packed &state);
+
   private:
     int assoc_;
     std::vector<int> contents_;
@@ -80,13 +98,15 @@ struct PinPattern
 };
 
 /**
- * Find a cyclic pin pattern for a W-way tree-PLRU set.
+ * Find a cyclic pin pattern for a W-way tree-PLRU set. Each
+ * (assoc, max_len) is searched once per process; concurrent first
+ * callers wait for the one search in flight.
  *
  * Starting state: lines 1..W fill the set in way order, line W gets an
  * extra touch, then line 0 (the pinned line, "A") is inserted — the
  * generalization of Fig. 3(1) -> 3(2).
  *
- * @param assoc    power-of-two associativity (>= 2)
+ * @param assoc    power-of-two associativity (2 .. kMaxPackedAssoc)
  * @param max_len  maximum period length to search
  * @return a pattern, or nullopt if none exists within max_len.
  */
@@ -141,14 +161,7 @@ class PlruPinMagnifier final : public AmplifierSource
     MachineBinding binding_;
     std::vector<Addr> lines_;
     Program program_;
-    // The BFS pattern search depends only on (assoc, maxLen); cache it
-    // so compatible() probes and per-machine rebuilds don't re-run it
-    // (mutable: compatible() is const).
-    mutable std::optional<PinPattern> pattern_;
-    mutable int patternAssoc_ = -1;
-    mutable int patternMaxLen_ = -1;
 
-    const std::optional<PinPattern> &patternFor(int assoc) const;
     void ensure(Machine &machine);
 };
 

@@ -177,6 +177,26 @@ TEST(PlruPattern, TwoWayCacheAdmitsNoPinPattern)
     EXPECT_FALSE(findPinPattern(2, 20).has_value());
 }
 
+TEST(PlruPattern, ConcurrentFirstCallsAgree)
+{
+    // Callers racing on one (assoc, max_len) must all see the same
+    // pattern (the thread-sanitize CI job runs this under TSan). It
+    // runs before the golden test, so (8, 16) is not memoized yet.
+    std::vector<std::optional<PinPattern>> results(4);
+    std::vector<std::thread> threads;
+    for (auto &result : results)
+        threads.emplace_back([&result] { result = findPinPattern(8, 16); });
+    for (auto &thread : threads)
+        thread.join();
+    ASSERT_TRUE(results[0].has_value());
+    for (const auto &result : results) {
+        ASSERT_TRUE(result.has_value());
+        EXPECT_EQ(result->leadIn, results[0]->leadIn);
+        EXPECT_EQ(result->accesses, results[0]->accesses);
+        EXPECT_EQ(result->missesPerPeriod, results[0]->missesPerPeriod);
+    }
+}
+
 TEST(PlruPattern, GoldenPatternsPerAssociativity)
 {
     // The pattern is the program of plru_pin_magnifier and
@@ -211,25 +231,6 @@ TEST(PlruPattern, GoldenPatternsPerAssociativity)
          {std::pair{2, 20}, {4, 5}, {8, 7}, {16, 9}}) {
         EXPECT_FALSE(findPinPattern(assoc, max_len).has_value())
             << "assoc=" << assoc << " max_len=" << max_len;
-    }
-}
-
-TEST(PlruPattern, ConcurrentFirstCallsAgree)
-{
-    // Callers racing on one (assoc, max_len) must all see the same
-    // pattern (the thread-sanitize CI job runs this under TSan).
-    std::vector<std::optional<PinPattern>> results(4);
-    std::vector<std::thread> threads;
-    for (auto &result : results)
-        threads.emplace_back([&result] { result = findPinPattern(8, 16); });
-    for (auto &thread : threads)
-        thread.join();
-    ASSERT_TRUE(results[0].has_value());
-    for (const auto &result : results) {
-        ASSERT_TRUE(result.has_value());
-        EXPECT_EQ(result->leadIn, results[0]->leadIn);
-        EXPECT_EQ(result->accesses, results[0]->accesses);
-        EXPECT_EQ(result->missesPerPeriod, results[0]->missesPerPeriod);
     }
 }
 
