@@ -219,26 +219,38 @@ searchPinPattern(int assoc, int max_len)
     StateSet nodes;
     nodes.insert(model.pack());
     std::vector<Edge> edges;
-    std::vector<int> parent{-1}, parent_line{-1}; // BFS tree for lead-ins
+    // BFS tree for lead-ins: the edge slot each node was discovered by.
+    std::vector<std::size_t> tree{0};
 
     constexpr std::size_t kMaxNodes = 200'000;
     for (std::size_t at = 0; at < nodes.size() && at < kMaxNodes; ++at) {
         edges.resize(edges.size() + letters);
         for (std::size_t slot = 0; slot < letters; ++slot) {
-            const int line = static_cast<int>(slot) + 1;
             model.unpack(nodes[at]);
-            const bool miss = model.access(line);
+            const bool miss = model.access(static_cast<int>(slot) + 1);
             if (!model.contains(0))
                 continue; // pinned line evicted: dead edge
             const auto [to, inserted] = nodes.insert(model.pack());
-            if (inserted) {
-                parent.push_back(static_cast<int>(at));
-                parent_line.push_back(line);
-            }
+            if (inserted)
+                tree.push_back(at * letters + slot);
             edges[at * letters + slot] = {to, miss};
         }
     }
     const std::size_t expanded = edges.size() / letters;
+
+    // Line labels of the path from -> to, given the edge slot by which
+    // each node on it was reached.
+    auto labels_along = [letters](const std::vector<std::size_t> &via,
+                                  int from, int to) {
+        std::vector<int> labels;
+        for (int at = to; at != from;) {
+            const std::size_t slot = via[static_cast<std::size_t>(at)];
+            labels.push_back(static_cast<int>(slot % letters) + 1);
+            at = static_cast<int>(slot / letters);
+        }
+        std::reverse(labels.begin(), labels.end());
+        return labels;
+    };
 
     // Shortest path from -> to of at most max_depth edges, as line
     // labels. A BFS stamps the nodes it reaches with its generation and
@@ -279,14 +291,7 @@ searchPinPattern(int assoc, int max_len)
         }
         if (!reached(to))
             return std::nullopt;
-        std::vector<int> labels;
-        for (int at = to; at != from;) {
-            const std::size_t slot = via[static_cast<std::size_t>(at)];
-            labels.push_back(static_cast<int>(slot % letters) + 1);
-            at = static_cast<int>(slot / letters);
-        }
-        std::reverse(labels.begin(), labels.end());
-        return labels;
+        return labels_along(via, from, to);
     };
 
     // Find the shortest cycle through some miss edge (u -> v): BFS from
@@ -316,11 +321,7 @@ searchPinPattern(int assoc, int max_len)
             pattern.accesses.insert(pattern.accesses.end(), back->begin(),
                                     back->end());
             // Lead-in: BFS-tree path from the start to u.
-            for (int at = static_cast<int>(u); at != 0;
-                 at = parent[static_cast<std::size_t>(at)])
-                pattern.leadIn.push_back(
-                    parent_line[static_cast<std::size_t>(at)]);
-            std::reverse(pattern.leadIn.begin(), pattern.leadIn.end());
+            pattern.leadIn = labels_along(tree, 0, static_cast<int>(u));
             // Count misses per period by simulation from u.
             model.unpack(nodes[u]);
             for (int line : pattern.accesses)
