@@ -134,8 +134,8 @@ class ScenarioContext
 
     /**
      * Accumulated BatchRunner statistics of every poolMap that took
-     * the batched path in this context (the `batching` column of
-     * `hr_bench run --verbose` and the perf JSON).
+     * the batched path in this context (the `batching` metadata that
+     * `hr_bench sweep --verbose` adds to its result).
      */
     const BatchRunner::Stats &batchStats() const { return batchStats_; }
 

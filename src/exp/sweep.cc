@@ -1,6 +1,6 @@
 #include "exp/sweep.hh"
 
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include "channel/channel_registry.hh"
@@ -20,46 +20,38 @@ namespace hr
 namespace
 {
 
-/** Parse a whole token as an integer (no trailing junk). */
-long long
-parseRangeInt(const std::string &text, const std::string &key,
-              const std::string &spec)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    fatalIf(end == text.c_str() || *end != '\0',
-            "--grid " + key + ": bad range '" + spec +
-                "' (use lo:hi[:step])");
-    return v;
-}
-
 /** Expand "lo:hi[:step]" into an inclusive integer range. */
 std::vector<std::string>
 expandRange(const std::string &spec, const std::string &key)
 {
     const auto first = spec.find(':');
     const auto second = spec.find(':', first + 1);
-    const std::string lo_text = spec.substr(0, first);
-    const std::string hi_text =
-        spec.substr(first + 1, second == std::string::npos
-                                   ? std::string::npos
-                                   : second - first - 1);
-    const std::string step_text =
-        second == std::string::npos ? "1" : spec.substr(second + 1);
-    const long long lo = parseRangeInt(lo_text, key, spec);
-    const long long hi = parseRangeInt(hi_text, key, spec);
-    const long long step = parseRangeInt(step_text, key, spec);
-    fatalIf(step <= 0, "--grid " + key + ": step must be positive");
-    fatalIf(hi < lo, "--grid " + key + ": empty range '" + spec + "'");
+    const std::optional<long long> lo =
+        parseInteger(spec.substr(0, first), 10);
+    const std::optional<long long> hi =
+        parseInteger(spec.substr(first + 1, second - first - 1), 10);
+    const std::optional<long long> step =
+        second == std::string::npos
+            ? std::optional<long long>(1)
+            : parseInteger(spec.substr(second + 1), 10);
+    fatalIf(!lo || !hi || !step, "--grid " + key + ": bad range '" +
+                                     spec + "' (use lo:hi[:step])");
+    fatalIf(*step <= 0, "--grid " + key + ": step must be positive");
+    fatalIf(*hi < *lo, "--grid " + key + ": empty range '" + spec + "'");
     // Refuse absurd axes before materializing them (the sweep-wide
     // point cap could otherwise only fire after an OOM-sized expand).
-    constexpr long long kMaxAxisValues = 1'000'000;
-    fatalIf((hi - lo) / step + 1 > kMaxAxisValues,
+    // Unsigned, so neither hi - lo nor stepping past hi can overflow.
+    constexpr unsigned long long kMaxAxisValues = 1'000'000;
+    const auto span = static_cast<unsigned long long>(*hi) -
+                      static_cast<unsigned long long>(*lo);
+    const auto stride = static_cast<unsigned long long>(*step);
+    fatalIf(span / stride >= kMaxAxisValues,
             "--grid " + key + ": range '" + spec + "' expands to more "
             "than " + std::to_string(kMaxAxisValues) + " values");
     std::vector<std::string> values;
-    for (long long v = lo; v <= hi; v += step)
-        values.push_back(std::to_string(v));
+    for (unsigned long long i = 0; i <= span / stride; ++i)
+        values.push_back(std::to_string(static_cast<long long>(
+            static_cast<unsigned long long>(*lo) + i * stride)));
     return values;
 }
 
@@ -282,11 +274,11 @@ runSweep(const SweepOptions &options)
     // restored to the pristine base state and re-seeds the noise
     // streams — bit-identical to a fresh build with the same seeds.
     // At --jobs 1 the points go through the lockstep batched path
-    // (see ScenarioContext::poolMap) in groups sized to grid rows:
-    // the row's first point leads, the rest step as group lanes, with
-    // the per-point reseed substituted on deterministic profiles and
-    // truly divergent points peeling to scalar — output is always
-    // byte-identical to the lease-per-index path.
+    // (see ScenarioContext::poolMap) in batches sized to grid rows:
+    // the row's first point leads and the rest follow its trace, with
+    // the per-point reseed substituted where it is dead (deterministic
+    // profiles) and followers the trace cannot answer running scalar
+    // — output is always byte-identical to the lease-per-index path.
     const MachineConfig base_config = ctx.machineConfig();
     MachinePool machine_pool(base_config);
     const SweepRows sweep_rows =

@@ -1,6 +1,7 @@
 #include "util/params.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/log.hh"
@@ -75,17 +76,27 @@ ParamSet::get(const std::string &key, const std::string &def) const
     return it == entries_.end() ? def : it->second;
 }
 
+std::optional<long long>
+parseInteger(const std::string &text, int base)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), &end, base);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
 long long
 ParamSet::getInt(const std::string &key, long long def) const
 {
     const auto it = entries_.find(key);
     if (it == entries_.end())
         return def;
-    char *end = nullptr;
-    const long long v = std::strtoll(it->second.c_str(), &end, 0);
-    fatalIf(end == it->second.c_str() || *end != '\0',
+    const std::optional<long long> v = parseInteger(it->second, 0);
+    fatalIf(!v,
             "parameter " + key + ": '" + it->second + "' is not an integer");
-    return v;
+    return *v;
 }
 
 double

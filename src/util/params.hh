@@ -13,6 +13,7 @@
 #define HR_UTIL_PARAMS_HH
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,13 @@ std::size_t editDistance(const std::string &a, const std::string &b);
  */
 std::string closestMatch(const std::string &needle,
                          const std::vector<std::string> &candidates);
+
+/**
+ * All of @p text as a base-@p base integer (base 0 also takes the 0x
+ * and 0 prefixes), or nullopt on empty text, trailing junk (`1x`), or
+ * a value outside `long long`.
+ */
+std::optional<long long> parseInteger(const std::string &text, int base);
 
 /** String-keyed parameters with typed accessors. */
 class ParamSet

@@ -4,13 +4,14 @@
  * single-error correction, repetition majority), frame sync with
  * offset and corrupted preambles, modem polarity learning, the
  * end-to-end Channel driver and its stats, the channel registry
- * round trip, channel-sweep determinism across --jobs, and the
- * --seed plumbing into per-trial machine sub-streams.
+ * round trip, channel-sweep determinism across --jobs and its golden
+ * digest, and the --seed plumbing into per-trial machine sub-streams.
  */
 
 #include <gtest/gtest.h>
 
 #include "channel/channel_registry.hh"
+#include "digest.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
@@ -305,6 +306,25 @@ TEST(ChannelSweep, JobsDoNotChangeResults)
         runChannelSweep(wide).render(Format::Json);
     EXPECT_EQ(render1, render4);
     EXPECT_NE(render1.find("\"passed\": true"), std::string::npos);
+}
+
+/**
+ * Golden channel sweep: FNV-1a of the JSON that CI's channel sweep
+ * prints (`sweep --channel=rs2_plru_pa --profile=plru --grid
+ * frame_bits=4,8 --trials=1 --format=json`) at --jobs 1. A change
+ * that moves it changes the channel's results; update it and say why.
+ */
+TEST(ChannelSweep, GoldenDigest)
+{
+    SweepOptions options;
+    options.channel = "rs2_plru_pa";
+    options.profile = "plru";
+    options.trials = 1;
+    options.jobs = 1;
+    options.grid.push_back(parseSweepAxis("frame_bits=4,8"));
+    Digest digest;
+    digest.text(runChannelSweep(options).render(Format::Json));
+    EXPECT_EQ(hexDigest(digest.value()), "0xed5726215367c203");
 }
 
 // ---- --seed plumbing into per-trial machine sub-streams ------------

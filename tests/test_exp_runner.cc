@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "digest.hh"
@@ -16,6 +17,7 @@
 #include "exp/runner.hh"
 #include "sim/profiles.hh"
 #include "util/log.hh"
+#include "util/params.hh"
 
 namespace hr
 {
@@ -47,6 +49,18 @@ TEST(ParamSet, TypedAccessors)
     EXPECT_THROW(params.setFromArg("novalue"), std::runtime_error);
     params.set("bad", "zzz");
     EXPECT_THROW(params.getInt("bad", 0), std::runtime_error);
+}
+
+TEST(ParamSet, ParseIntegerTakesWholeTokensOnly)
+{
+    EXPECT_EQ(parseInteger("42", 10), 42);
+    EXPECT_EQ(parseInteger("-3", 10), -3);
+    EXPECT_EQ(parseInteger("0x10", 0), 16);
+    EXPECT_EQ(parseInteger("4294967297", 10), 4294967297LL);
+    EXPECT_EQ(parseInteger("1x", 10), std::nullopt);
+    EXPECT_EQ(parseInteger("0x10", 10), std::nullopt);
+    EXPECT_EQ(parseInteger("", 10), std::nullopt);
+    EXPECT_EQ(parseInteger("99999999999999999999", 10), std::nullopt);
 }
 
 TEST(Profiles, RegistryKnowsAllProfiles)

@@ -4,8 +4,9 @@
  * registered gadget (construct by name on a compatible profile,
  * calibrate, transmit one bit each way), clone() independence, the
  * pipeline determinism contract (same configuration and seed produce
- * identical TimingSamples), and sweep output that is byte-identical
- * at any --jobs value.
+ * identical TimingSamples), sweep output that is byte-identical at
+ * any --jobs value, and golden digests of gadget samples and of one
+ * sweep.
  */
 
 #include <gtest/gtest.h>
@@ -290,6 +291,25 @@ TEST(Sweep, ByteIdenticalAcrossJobs)
     EXPECT_NE(lone.find("\"stages\""), std::string::npos);
 }
 
+/**
+ * Golden sweep: FNV-1a of the JSON that CI's gadget sweep prints
+ * (`sweep --gadget=arith_magnifier --profile=default --grid
+ * stages=200,400 --trials=1 --format=json`) at --jobs 1. A change that
+ * moves it changes the sweep's results; update it and say why.
+ */
+TEST(Sweep, GoldenDigest)
+{
+    SweepOptions options;
+    options.gadget = "arith_magnifier";
+    options.profile = "default";
+    options.trials = 1;
+    options.jobs = 1;
+    options.grid.push_back(parseSweepAxis("stages=200,400"));
+    Digest digest;
+    digest.text(runSweep(options).render(Format::Json));
+    EXPECT_EQ(hexDigest(digest.value()), "0xd9451f419c694f55");
+}
+
 TEST(Sweep, GridSyntaxAndIncompatibleRows)
 {
     const SweepAxis list = parseSweepAxis("key=a,b,c");
@@ -300,6 +320,7 @@ TEST(Sweep, GridSyntaxAndIncompatibleRows)
     EXPECT_EQ(range.values, (std::vector<std::string>{"2", "5", "8"}));
     EXPECT_THROW(parseSweepAxis("novalue"), std::runtime_error);
     EXPECT_THROW(parseSweepAxis("k=5:1"), std::runtime_error);
+    EXPECT_THROW(parseSweepAxis("k=1:4x"), std::runtime_error);
 
     // A gadget/profile mismatch degrades to a status row, not a crash.
     SweepOptions options;
@@ -309,6 +330,19 @@ TEST(Sweep, GridSyntaxAndIncompatibleRows)
     const std::string rendered =
         runSweep(options).render(Format::Csv);
     EXPECT_NE(rendered.find("incompatible"), std::string::npos);
+}
+
+TEST(Sweep, RangesAtTheEdgesOfLongLong)
+{
+    EXPECT_EQ(parseSweepAxis("n=-3:3:3").values,
+              (std::vector<std::string>{"-3", "0", "3"}));
+    EXPECT_EQ(parseSweepAxis("n=9223372036854775806:9223372036854775807")
+                  .values,
+              (std::vector<std::string>{"9223372036854775806",
+                                        "9223372036854775807"}));
+    EXPECT_THROW(
+        parseSweepAxis("n=-9223372036854775807:9223372036854775807"),
+        std::runtime_error);
 }
 
 } // namespace
